@@ -880,8 +880,6 @@ std::string mining_plan_to_json(const mining::MiningOutcome& outcome,
   w.value(s.candidates);
   w.key("candidate_pool");
   w.value(s.candidate_pool);
-  w.key("enumeration_rounds");
-  w.value(s.enumeration_rounds);
   w.key("enumeration_truncated");
   w.value(s.enumeration_truncated);
   w.key("selection_truncated");

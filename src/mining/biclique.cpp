@@ -1,31 +1,367 @@
 #include "mining/biclique.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <limits>
+#include <numeric>
+#include <span>
 #include <utility>
 
-#include "linalg/csr_matrix.hpp"
-#include "util/thread_pool.hpp"
+#include "util/bitops.hpp"
 
 namespace rolediet::mining {
 
 namespace {
 
-/// Content intersection of two strictly-increasing id runs.
-std::vector<core::Id> intersect_sorted(std::span<const core::Id> a, std::span<const core::Id> b) {
-  std::vector<core::Id> out;
-  out.reserve(std::min(a.size(), b.size()));
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
+using Row = std::span<const core::Id>;
+
+/// Deadline checks happen once per this many closures.
+constexpr std::size_t kClosureBatch = 64;
+
+/// Keeps the entries of v[from..] that `row` also holds (both ascending).
+void retain_common(std::vector<core::Id>& v, std::size_t from, Row row) {
+  std::size_t kept = from;
+  auto it = row.begin();
+  for (std::size_t i = from; i < v.size() && it != row.end();) {
+    if (*it < v[i]) {
+      ++it;
+    } else {
+      if (*it == v[i]) {
+        v[kept++] = v[i];
+        ++it;
+      }
+      ++i;
+    }
+  }
+  v.resize(kept);
 }
 
-/// Deadline checks happen once per this many pairs inside a worker chunk.
-constexpr std::size_t kPairBatch = 256;
+/// Permission ids seen at one search node, handed back in ascending order
+/// without a sort: a bitmap plus one summary bit per non-zero bitmap word,
+/// so a scan costs one word per 4,096 ids.
+class ItemSet {
+ public:
+  explicit ItemSet(std::size_t universe)
+      : words_(util::words_for_bits(universe), 0),
+        summary_(util::words_for_bits(words_.size()), 0) {}
 
-/// Pairs materialized per slab. A round can hold quadratically many pairs, so
-/// slabs bound both the scratch memory and the latency until the next cap /
-/// deadline check; the fixed (f, j) order is preserved across slabs.
-constexpr std::size_t kSlabPairs = 1u << 20;
+  void insert(std::uint32_t item) noexcept {
+    std::uint64_t& word = words_[item / 64];
+    if (word == 0) summary_[item / 4096] |= std::uint64_t{1} << (item / 64 % 64);
+    word |= std::uint64_t{1} << (item % 64);
+  }
+
+  /// Appends the members to `out`, ascending, and empties the set.
+  void drain(std::vector<std::uint32_t>& out) {
+    for (std::size_t s = 0; s < summary_.size(); ++s) {
+      for (std::uint64_t bits = std::exchange(summary_[s], 0); bits != 0; bits &= bits - 1) {
+        const std::size_t w = s * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        for (std::uint64_t word = std::exchange(words_[w], 0); word != 0; word &= word - 1) {
+          out.push_back(static_cast<std::uint32_t>(w * 64 + std::countr_zero(word)));
+        }
+      }
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+  std::vector<std::uint64_t> summary_;
+};
+
+/// One node of the depth-first search.
+struct Frame {
+  std::vector<core::Id> items;           ///< the closed set P, ascending
+  std::vector<core::Id> added;           ///< P minus the parent's set
+  std::vector<std::uint32_t> occ;        ///< classes whose row contains P, ascending
+  std::vector<std::uint32_t> ext;        ///< extension items with support >= 2, ascending
+  std::vector<std::uint32_t> ext_begin;  ///< ext.size() + 1 offsets into `flat`
+  std::vector<std::uint32_t> flat;       ///< occ(P + ext[k]) = flat[ext_begin[k] .. ext_begin[k+1])
+  std::size_t next = 0;                  ///< next extension to try
+};
+
+class Enumerator {
+ public:
+  Enumerator(const UpaClasses& upa, std::size_t cap, const util::ExecutionContext& ctx,
+             CandidateSet& out)
+      : upa_(upa),
+        cap_(cap),
+        ctx_(ctx),
+        out_(out),
+        in_p_(util::words_for_bits(upa.num_permissions), 0),
+        slot_(upa.num_permissions, 0),
+        touched_(upa.num_permissions) {}
+
+  void run() {
+    const std::size_t n = upa_.num_classes();
+    if (n == 0) return;
+    frames_.resize(1);
+    Frame& root = frames_[0];
+    root.occ.resize(n);
+    std::iota(root.occ.begin(), root.occ.end(), std::uint32_t{0});
+    // The root is closure(empty set): every class supports it. Item 0 never
+    // rejects (nothing lies below it), so the closure computes the plain
+    // intersection of all rows.
+    (void)closure(0, root.occ, root.items);
+    ++out_.intersections;
+    enter(root);
+    deliver(root, 0);
+    fill_seed_supports();
+    if (!root.items.empty() && !visit(root.items, root.occ)) return;
+    search();
+  }
+
+ private:
+  [[nodiscard]] bool in_p(std::uint32_t item) const noexcept {
+    return ((in_p_[item / 64] >> (item % 64)) & 1) != 0;
+  }
+
+  /// Marks the node's new items as members of the current P.
+  void enter(Frame& f) {
+    f.added.clear();
+    for (const core::Id item : f.items) {
+      if (in_p(item)) continue;
+      f.added.push_back(item);
+      in_p_[item / 64] |= std::uint64_t{1} << (item % 64);
+    }
+  }
+
+  void leave(const Frame& f) noexcept {
+    for (const core::Id item : f.added) in_p_[item / 64] &= ~(std::uint64_t{1} << (item % 64));
+  }
+
+  /// Builds f.ext / f.flat: the occurrence list of P + e for every item
+  /// e >= first outside P held by at least two of P's classes. Two passes
+  /// over the rows (count, then place) fill one flat array; the classes of
+  /// each list come out ascending because f.occ is.
+  void deliver(Frame& f, std::uint32_t first) {
+    constexpr std::uint32_t kSkip = std::numeric_limits<std::uint32_t>::max();
+    const auto tail = [&](std::uint32_t cls) {
+      const Row row = upa_.rows.row(cls);
+      return row.subspan(static_cast<std::size_t>(std::lower_bound(row.begin(), row.end(), first) -
+                                                   row.begin()));
+    };
+    for (const std::uint32_t cls : f.occ) {
+      for (const core::Id item : tail(cls)) {
+        if (!in_p(item) && slot_[item]++ == 0) touched_.insert(item);
+      }
+    }
+    order_.clear();
+    touched_.drain(order_);
+    f.ext.clear();
+    f.ext_begin.clear();
+    f.next = 0;
+    std::uint32_t total = 0;
+    for (const std::uint32_t item : order_) {
+      const std::uint32_t count = slot_[item];
+      if (count < 2) {
+        slot_[item] = kSkip;
+        continue;
+      }
+      f.ext.push_back(item);
+      f.ext_begin.push_back(total);
+      slot_[item] = total;
+      total += count;
+    }
+    f.ext_begin.push_back(total);
+    f.flat.resize(total);
+    for (const std::uint32_t cls : f.occ) {
+      for (const core::Id item : tail(cls)) {
+        if (in_p(item) || slot_[item] == kSkip) continue;
+        f.flat[slot_[item]++] = cls;
+      }
+    }
+    for (const std::uint32_t item : order_) slot_[item] = 0;
+  }
+
+  /// closure(P + e) into `out` when it adds no item below e (the
+  /// prefix-preserving test); false otherwise. `occ` = occ(P + e), >= 1 class.
+  bool closure(std::uint32_t e, std::span<const std::uint32_t> occ,
+               std::vector<core::Id>& out) {
+    return upa_.dense.has_value() ? closure_dense(e, occ, out) : closure_sparse(e, occ, out);
+  }
+
+  bool closure_dense(std::uint32_t e, std::span<const std::uint32_t> occ,
+                     std::vector<core::Id>& out) {
+    const linalg::BitMatrix& dense = *upa_.dense;
+    const std::size_t e_word = e / 64;
+    const std::uint64_t below_e = (std::uint64_t{1} << (e % 64)) - 1;
+    // Words below e: any bit outside P common to every row rejects.
+    for (std::size_t w = 0; w <= e_word; ++w) {
+      std::uint64_t extra = ~in_p_[w] & (w == e_word ? below_e : ~std::uint64_t{0});
+      for (const std::uint32_t cls : occ) {
+        if (extra == 0) break;
+        extra &= dense.row(cls)[w];
+      }
+      if (extra != 0) return false;
+    }
+    // The prefix is P's; the rest is the AND of the rows from e's word on.
+    out.clear();
+    for (std::size_t w = 0; w < e_word; ++w) {
+      for (std::uint64_t bits = in_p_[w]; bits != 0; bits &= bits - 1) {
+        out.push_back(static_cast<core::Id>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+    for (std::size_t w = e_word; w < dense.words_per_row(); ++w) {
+      std::uint64_t common = ~std::uint64_t{0};
+      for (const std::uint32_t cls : occ) {
+        common &= dense.row(cls)[w];
+        if (common == 0) break;
+      }
+      if (w == e_word) common = (common & ~below_e) | (in_p_[w] & below_e);
+      for (; common != 0; common &= common - 1) {
+        out.push_back(static_cast<core::Id>(w * 64 + std::countr_zero(common)));
+      }
+    }
+    return true;
+  }
+
+  bool closure_sparse(std::uint32_t e, std::span<const std::uint32_t> occ,
+                      std::vector<core::Id>& out) {
+    std::uint32_t pivot = occ.front();
+    for (const std::uint32_t cls : occ) {
+      if (upa_.rows.row_size(cls) < upa_.rows.row_size(pivot)) pivot = cls;
+    }
+    const Row pivot_row = upa_.rows.row(pivot);
+    const auto pivot_e = std::lower_bound(pivot_row.begin(), pivot_row.end(), e);
+    // Items below e outside P that every row holds would break the prefix.
+    extra_.clear();
+    for (auto it = pivot_row.begin(); it != pivot_e; ++it) {
+      if (!in_p(*it)) extra_.push_back(*it);
+    }
+    for (const std::uint32_t cls : occ) {
+      if (extra_.empty()) break;
+      if (cls != pivot) retain_common(extra_, 0, upa_.rows.row(cls));
+    }
+    if (!extra_.empty()) return false;
+    // Below e, Q is P (the pivot row's members in P); from e on, the merge.
+    out.clear();
+    for (auto it = pivot_row.begin(); it != pivot_e; ++it) {
+      if (in_p(*it)) out.push_back(*it);
+    }
+    const std::size_t from = out.size();
+    out.insert(out.end(), pivot_e, pivot_row.end());
+    for (const std::uint32_t cls : occ) {
+      if (cls == pivot) continue;
+      const Row row = upa_.rows.row(cls);
+      retain_common(out, from, row.subspan(static_cast<std::size_t>(
+                                   std::lower_bound(row.begin(), row.end(), e) - row.begin())));
+    }
+    return true;
+  }
+
+  /// Records a closed set reached by the search: class rows were emitted up
+  /// front, anything else is appended. False when the cap stops the search.
+  bool visit(const std::vector<core::Id>& set, std::span<const std::uint32_t> occ) {
+    for (const std::uint32_t cls : occ) {
+      if (upa_.rows.row_size(cls) == set.size()) return true;  // row ⊇ set: it is the row
+    }
+    if (cap_ != 0 && out_.permission_sets.size() >= cap_) {
+      out_.truncated = true;
+      return false;
+    }
+    out_.permission_sets.push_back(set);
+    out_.supports.emplace_back(occ.begin(), occ.end());
+    return true;
+  }
+
+  /// Supports of the class rows, from the root's occurrence lists: a row's
+  /// support lies inside the list of its rarest item outside the root
+  /// closure, and an item held by one class pins the support to that class.
+  void fill_seed_supports() {
+    const Frame& root = frames_[0];
+    const auto list_size = [&](std::size_t k) { return root.ext_begin[k + 1] - root.ext_begin[k]; };
+    for (std::size_t k = 0; k < root.ext.size(); ++k) {
+      slot_[root.ext[k]] = static_cast<std::uint32_t>(k + 1);
+    }
+    for (std::uint32_t cls = 0; cls < static_cast<std::uint32_t>(root.occ.size()); ++cls) {
+      const Row row = upa_.rows.row(cls);
+      std::size_t best = root.ext.size();
+      bool alone = false;
+      for (const core::Id item : row) {
+        if (in_p(item)) continue;
+        if (slot_[item] == 0) {
+          alone = true;
+          break;
+        }
+        const std::size_t k = slot_[item] - 1;
+        if (best == root.ext.size() || list_size(k) < list_size(best)) best = k;
+      }
+      std::vector<std::uint32_t>& support = out_.supports[cls];
+      if (alone) {
+        support.assign(1, cls);
+      } else if (best == root.ext.size()) {
+        support = root.occ;  // the row is the root closure
+      } else {
+        for (std::uint32_t k = root.ext_begin[best]; k < root.ext_begin[best + 1]; ++k) {
+          const std::uint32_t other = root.flat[k];
+          if (other == cls || contains(other, cls)) support.push_back(other);
+        }
+      }
+    }
+    for (const std::uint32_t item : root.ext) slot_[item] = 0;
+  }
+
+  /// True when class `outer`'s row holds every item of class `inner`'s row.
+  /// Exits at the first missing item, which a full RowStore intersection
+  /// count cannot (about 4x slower on the paper-scale org's sparse UPA).
+  [[nodiscard]] bool contains(std::uint32_t outer, std::uint32_t inner) const {
+    if (upa_.rows.row_size(outer) < upa_.rows.row_size(inner)) return false;
+    if (upa_.dense.has_value()) {
+      const auto a = upa_.dense->row(outer);
+      const auto b = upa_.dense->row(inner);
+      for (std::size_t w = 0; w < a.size(); ++w) {
+        if ((b[w] & ~a[w]) != 0) return false;
+      }
+      return true;
+    }
+    const Row a = upa_.rows.row(outer);
+    const Row b = upa_.rows.row(inner);
+    return std::includes(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+  void search() {
+    std::size_t depth = 0;
+    while (true) {
+      if (frames_.size() == depth + 1) frames_.emplace_back();
+      Frame& f = frames_[depth];
+      if (f.next == f.ext.size()) {
+        if (depth == 0) return;
+        leave(f);
+        --depth;
+        continue;
+      }
+      const std::size_t k = f.next++;
+      const std::uint32_t e = f.ext[k];
+      const std::span<const std::uint32_t> occ(f.flat.data() + f.ext_begin[k],
+                                               f.ext_begin[k + 1] - f.ext_begin[k]);
+      if (out_.intersections % kClosureBatch == 0 && ctx_.expired()) {
+        out_.truncated = true;
+        return;
+      }
+      ++out_.intersections;
+      Frame& child = frames_[depth + 1];
+      if (!closure(e, occ, child.items)) continue;
+      if (!visit(child.items, occ)) return;
+      child.occ.assign(occ.begin(), occ.end());
+      enter(child);
+      deliver(child, e + 1);
+      ++depth;
+    }
+  }
+
+  const UpaClasses& upa_;
+  const std::size_t cap_;
+  const util::ExecutionContext& ctx_;
+  CandidateSet& out_;
+  std::vector<Frame> frames_;
+  std::vector<std::uint64_t> in_p_;    ///< bitmap of the current node's P
+  /// Per-item scratch, 0 between uses: in deliver() a count, then a fill
+  /// cursor; in fill_seed_supports() the root list index + 1.
+  std::vector<std::uint32_t> slot_;
+  ItemSet touched_;
+  std::vector<std::uint32_t> order_;   ///< the current node's touched items, ascending
+  std::vector<core::Id> extra_;        ///< sparse closure scratch
+};
 
 }  // namespace
 
@@ -39,93 +375,10 @@ CandidateSet enumerate_closed_sets(const UpaClasses& upa, const BicliqueOptions&
     const auto row = upa.rows.row(cls);
     result.permission_sets.emplace_back(row.begin(), row.end());
   }
+  result.supports.resize(num_seeds);
   const std::size_t cap =
       options.max_candidates == 0 ? 0 : std::max(options.max_candidates, num_seeds);
-
-  // Dedup index: digest -> candidate indices with that digest.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index;
-  index.reserve(num_seeds * 2);
-  for (std::size_t i = 0; i < num_seeds; ++i) {
-    const std::uint64_t digest = linalg::csr_row_digest(result.permission_sets[i]);
-    index[digest].push_back(static_cast<std::uint32_t>(i));
-  }
-  auto insert_if_new = [&](std::vector<core::Id>&& set) {
-    const std::uint64_t digest = linalg::csr_row_digest(set);
-    std::vector<std::uint32_t>& bucket = index[digest];
-    for (const std::uint32_t idx : bucket) {
-      if (linalg::csr_rows_equal(result.permission_sets[idx], set)) return;
-    }
-    bucket.push_back(static_cast<std::uint32_t>(result.permission_sets.size()));
-    result.permission_sets.push_back(std::move(set));
-  };
-
-  util::Parallelism exec(options.threads);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  std::vector<std::vector<core::Id>> computed;
-
-  // Frontier = sets discovered in the previous round; a round pairs each
-  // frontier set f with every set j < f that existed at round start. Pairs
-  // between pre-frontier sets were handled by earlier rounds, and pairs
-  // within the frontier appear exactly once (at the larger index).
-  std::size_t frontier_begin = 0;
-  std::size_t frontier_end = num_seeds;
-  while (frontier_begin < frontier_end && !result.truncated) {
-    if (ctx.expired()) {
-      result.truncated = true;
-      break;
-    }
-    ++result.rounds;
-    // Slab cursor over the round's fixed (f ascending, j ascending) order.
-    std::size_t cursor_f = std::max<std::size_t>(frontier_begin, 1);
-    std::size_t cursor_j = 0;
-    bool did_pairs = false;
-    while (cursor_f < frontier_end && !result.truncated) {
-      pairs.clear();
-      while (cursor_f < frontier_end && pairs.size() < kSlabPairs) {
-        pairs.emplace_back(static_cast<std::uint32_t>(cursor_f),
-                           static_cast<std::uint32_t>(cursor_j));
-        if (++cursor_j == cursor_f) {
-          ++cursor_f;
-          cursor_j = 0;
-        }
-      }
-      if (pairs.empty()) break;
-      did_pairs = true;
-
-      computed.assign(pairs.size(), {});
-      exec.parallel_for(
-          pairs.size(),
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t k = begin; k < end; ++k) {
-              if ((k - begin) % kPairBatch == 0 && ctx.expired()) return;  // leave rest empty
-              const auto [f, j] = pairs[k];
-              const std::vector<core::Id>& a = result.permission_sets[f];
-              const std::vector<core::Id>& b = result.permission_sets[j];
-              std::vector<core::Id> meet = intersect_sorted(a, b);
-              // An intersection equal to an operand is never new; the empty
-              // set is not a candidate. Skip the dedup work for both.
-              if (meet.empty() || meet.size() == a.size() || meet.size() == b.size()) continue;
-              computed[k] = std::move(meet);
-            }
-          },
-          /*grain=*/1024);
-      result.intersections += pairs.size();
-
-      // Sequential merge in pair order: identical at every thread count.
-      for (std::size_t k = 0; k < pairs.size(); ++k) {
-        if (computed[k].empty()) continue;
-        if (cap != 0 && result.permission_sets.size() >= cap) {
-          result.truncated = true;
-          break;
-        }
-        insert_if_new(std::move(computed[k]));
-      }
-      if (ctx.expired()) result.truncated = true;
-    }
-    if (!did_pairs) break;
-    frontier_begin = frontier_end;
-    frontier_end = result.permission_sets.size();
-  }
+  Enumerator(upa, cap, ctx, result).run();
   return result;
 }
 

@@ -25,7 +25,7 @@ namespace {
 struct Candidate {
   std::vector<core::Id> perms;         ///< sorted permission ids
   std::vector<std::uint32_t> support;  ///< classes whose row contains perms, ascending
-  bool usable = false;                 ///< support fully computed (no deadline cut)
+  bool usable = false;                 ///< support known: carried, or computed before the deadline
 };
 
 /// Marginal effect of selecting a candidate in the current coverage state.
@@ -105,37 +105,46 @@ MiningPlan plan_mining(const core::RbacDataset& dataset, const MiningOptions& op
   // ---- 1. candidate enumeration -------------------------------------------
   BicliqueOptions biclique_options;
   biclique_options.max_candidates = options.max_candidates;
-  biclique_options.threads = options.threads;
-  const CandidateSet closed = enumerate_closed_sets(upa, biclique_options, ctx);
+  CandidateSet closed = enumerate_closed_sets(upa, biclique_options, ctx);
   plan.stats.candidates = closed.permission_sets.size();
-  plan.stats.enumeration_rounds = closed.rounds;
   plan.stats.enumeration_truncated = closed.truncated;
 
   // ---- 2. cap-chunking + dedup into the selection pool --------------------
+  // A closed set that fits the cap enters with the support the enumerator
+  // carried; chunks and role sets get theirs in step 3 (a chunk's support
+  // can be wider than its set's).
   std::vector<Candidate> pool;
   {
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> dedup;
-    auto add_chunk = [&](std::vector<core::Id>&& chunk) {
+    auto add_chunk = [&](std::vector<core::Id>&& chunk, std::vector<std::uint32_t>* support) {
       const std::uint64_t digest = linalg::csr_row_digest(chunk);
       std::vector<std::uint32_t>& bucket = dedup[digest];
       for (const std::uint32_t idx : bucket) {
         if (linalg::csr_rows_equal(pool[idx].perms, chunk)) return;
       }
       bucket.push_back(static_cast<std::uint32_t>(pool.size()));
-      pool.push_back(Candidate{std::move(chunk), {}, false});
+      Candidate& cand = pool.emplace_back();
+      cand.perms = std::move(chunk);
+      if (support != nullptr) {
+        cand.support = std::move(*support);
+        cand.usable = true;
+      }
     };
-    const auto add_set = [&](std::span<const core::Id> set) {
+    const auto add_set = [&](std::vector<core::Id>&& set, std::vector<std::uint32_t>* support) {
       if (perm_cap == 0 || set.size() <= perm_cap) {
-        add_chunk(std::vector<core::Id>(set.begin(), set.end()));
+        add_chunk(std::move(set), support);
         return;
       }
       for (std::size_t begin = 0; begin < set.size(); begin += perm_cap) {
         const std::size_t end = std::min(begin + perm_cap, set.size());
         add_chunk(std::vector<core::Id>(set.begin() + static_cast<std::ptrdiff_t>(begin),
-                                        set.begin() + static_cast<std::ptrdiff_t>(end)));
+                                        set.begin() + static_cast<std::ptrdiff_t>(end)),
+                  nullptr);
       }
     };
-    for (const std::vector<core::Id>& set : closed.permission_sets) add_set(set);
+    for (std::size_t i = 0; i < closed.permission_sets.size(); ++i) {
+      add_set(std::move(closed.permission_sets[i]), &closed.supports[i]);
+    }
     // Seed the pool with the dataset's own role permission sets too: on
     // workloads with little biclique structure the closed sets alone can be
     // a worse vocabulary than the decomposition that already exists, and
@@ -143,12 +152,12 @@ MiningPlan plan_mining(const core::RbacDataset& dataset, const MiningOptions& op
     // duplicates; support computation treats them like any candidate).
     for (core::Id r = 0; r < static_cast<core::Id>(dataset.num_roles()); ++r) {
       const auto set = dataset.permissions_of_role(r);
-      if (!set.empty()) add_set(set);
+      if (!set.empty()) add_set(std::vector<core::Id>(set.begin(), set.end()), nullptr);
     }
   }
   plan.stats.candidate_pool = pool.size();
 
-  // ---- 3. support computation (RowStore containment kernels) --------------
+  // ---- 3. support computation for the rest (RowStore containment) ---------
   // support(K) = classes whose row contains K. The inverted index narrows
   // the search to the classes holding K's rarest permission; the packed
   // containment check |K ∩ row| == |K| runs on the shared RowStore backend,
@@ -169,6 +178,7 @@ MiningPlan plan_mining(const core::RbacDataset& dataset, const MiningOptions& op
         for (std::size_t i = begin; i < end; ++i) {
           if ((i - begin) % 64 == 0 && ctx.expired()) return;  // rest stay unusable
           Candidate& cand = pool[i];
+          if (cand.usable) continue;  // a closed set: support carried
           const std::vector<core::Id>& perms = cand.perms;
           std::uint32_t rarest = perms.front();
           for (const std::uint32_t perm : perms) {
@@ -209,6 +219,22 @@ MiningPlan plan_mining(const core::RbacDataset& dataset, const MiningOptions& op
     std::size_t assignments = 0;  ///< user->role edges after pruning
     std::size_t grants = 0;       ///< role->permission edges after pruning
   };
+
+  // Every pass starts from empty coverage, so a candidate's first marginal
+  // is the same in all of them: score the pool once. With nothing covered a
+  // supporting class gains all of the candidate's permissions, subject to
+  // the feasibility guard below at zero roles used.
+  std::vector<Marginal> opening(pool.size());
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const Candidate& cand = pool[i];
+    if (!cand.usable) continue;
+    for (const std::uint32_t cls : cand.support) {
+      const std::size_t row_size = upa.rows.row_size(cls);
+      if (role_cap != 0 && chunks_needed(row_size - cand.perms.size()) > role_cap - 1) continue;
+      opening[i].gain += static_cast<std::uint64_t>(upa.weight(cls)) * cand.perms.size();
+      opening[i].users += upa.weight(cls);
+    }
+  }
 
   // ---- 4. one constrained greedy pass, parameterized by the edge emphasis -
   // Covers steps 4-6 of the pipeline: lazy-greedy set cover, mop-up, pruning.
@@ -259,14 +285,15 @@ MiningPlan plan_mining(const core::RbacDataset& dataset, const MiningOptions& op
       return static_cast<double>(m.gain) / cost;
     };
 
-    std::priority_queue<HeapEntry> heap;
+    // (score, index) is a strict total order, so the pop order does not
+    // depend on how the heap was built.
+    std::vector<HeapEntry> entries;
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (!pool[i].usable || pool[i].support.empty()) continue;
-      const Marginal m = marginal_of(pool[i]);
-      if (m.gain != 0) {
-        heap.push({score_of(pool[i], m), static_cast<std::uint32_t>(i)});
+      if (opening[i].gain != 0) {
+        entries.push_back({score_of(pool[i], opening[i]), static_cast<std::uint32_t>(i)});
       }
     }
+    std::priority_queue<HeapEntry> heap(std::less<HeapEntry>{}, std::move(entries));
 
     std::vector<DraftRole>& draft = res.draft;
     while (!heap.empty() && total_uncovered != 0) {
@@ -553,9 +580,8 @@ std::string MiningPlan::to_text() const {
   out << buffer;
   out << "  upa: " << stats.users << " users (" << stats.user_classes << " classes), "
       << stats.permissions << " permissions, " << stats.upa_cells << " cells\n";
-  out << "  candidates: " << stats.candidates << " closed sets in " << stats.enumeration_rounds
-      << " rounds (pool " << stats.candidate_pool << ")"
-      << (stats.enumeration_truncated ? ", truncated" : "") << "\n";
+  out << "  candidates: " << stats.candidates << " closed sets (pool " << stats.candidate_pool
+      << ")" << (stats.enumeration_truncated ? ", truncated" : "") << "\n";
   out << "  roles: " << stats.selected_candidates << " selected + " << stats.mopup_roles
       << " mop-up (best of " << stats.portfolio_plans << "-plan portfolio)"
       << (stats.selection_truncated ? " (selection cut by budget)" : "") << "; pruned "

@@ -6,14 +6,15 @@
 //   1. build_upa_classes — the effective UPA, deduplicated into weighted
 //      user classes (mining/upa.hpp);
 //   2. enumerate_closed_sets — candidate roles are the maximal bicliques of
-//      the UPA (mining/biclique.hpp), chunked to respect a
-//      permissions-per-role cap (a sub-rectangle of a biclique is still a
-//      biclique);
+//      the UPA (mining/biclique.hpp), each with the supporting classes the
+//      enumerator carries, chunked to respect a permissions-per-role cap (a
+//      sub-rectangle of a biclique is still a biclique);
 //   3. constrained greedy set cover over the candidates — lazy-greedy with
 //      score(K) = newly covered UPA cells / (1 + r * (assignments + grants
 //      the role adds now)) for an edge-emphasis ratio r, with the
 //      roles-per-user cap enforced by a feasibility guard (Blundo & Cimato
-//      style constrained mining);
+//      style constrained mining); every pass opens on the same empty
+//      coverage, so the pool is scored once for all of them;
 //   4. mop-up — any class with still-uncovered permissions gets them from
 //      (deduplicated) residual roles, so coverage is complete even when the
 //      candidate pool was truncated by the --budget deadline;
@@ -104,7 +105,6 @@ struct MiningStats {
 
   std::size_t candidates = 0;          ///< closed sets enumerated
   std::size_t candidate_pool = 0;      ///< after cap-chunking + dedup
-  std::size_t enumeration_rounds = 0;
   bool enumeration_truncated = false;  ///< candidate cap or deadline hit
   bool selection_truncated = false;    ///< deadline cut the winning greedy loop
   std::size_t portfolio_plans = 0;     ///< greedy passes scalarized over

@@ -1,16 +1,21 @@
 // Role-mining subsystem tests: UPA class construction, exact maximal-biclique
-// enumeration against brute force on hand-built bipartite graphs, constraint
-// caps (enforcement and infeasibility), the bi-objective weight knob's
-// monotonicity guarantee, planted-decomposition recovery within the
-// documented slack, determinism across thread counts and backends, and
-// equivalence verification on churn and adversarial corpora.
+// enumeration against brute force on hand-built and seeded random bipartite
+// graphs (closed sets, supports, emission order on both backends, truncation
+// by cap and by deadline), constraint caps (enforcement and infeasibility),
+// the bi-objective weight knob's monotonicity guarantee, planted-decomposition
+// recovery within the documented slack, determinism across thread counts and
+// backends, and equivalence verification on churn and adversarial corpora.
 //
 // Determinism case names end in T1/T2/T8 so the sanitizer jobs can select
 // thread counts with --gtest_filter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <bitset>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +31,7 @@
 #include "mining/miner.hpp"
 #include "mining/upa.hpp"
 #include "test_helpers.hpp"
+#include "util/execution_context.hpp"
 #include "util/prng.hpp"
 
 namespace rolediet::mining {
@@ -46,37 +52,80 @@ core::RbacDataset dataset_from_rows(std::size_t num_permissions,
   return d;
 }
 
+/// Brute-force bound on the permission ids of an oracle graph.
+constexpr std::size_t kOraclePerms = 256;
+using PermBits = std::bitset<kOraclePerms>;
+
+PermBits bits_of(std::span<const core::Id> row) {
+  PermBits bits;
+  for (const core::Id perm : row) bits.set(perm);
+  return bits;
+}
+
 /// Reference enumeration: every distinct non-empty intersection of a
-/// non-empty subset of the class rows (the definition the semilattice
-/// fixpoint in mining/biclique.cpp must reproduce exactly).
+/// non-empty subset of the class rows — the closed sets the enumerator in
+/// mining/biclique.cpp must reproduce exactly. One AND per subset: the
+/// intersection of a mask extends that of the mask without its lowest class.
 std::set<std::vector<core::Id>> brute_force_closed_sets(const UpaClasses& upa) {
   const std::size_t n = upa.num_classes();
   EXPECT_LE(n, 20u) << "brute force is exponential in the class count";
-  std::vector<std::vector<core::Id>> rows(n);
-  for (std::size_t cls = 0; cls < n; ++cls) {
-    const auto row = upa.rows.row(cls);
-    rows[cls].assign(row.begin(), row.end());
-  }
+  EXPECT_LE(upa.num_permissions, kOraclePerms);
+  std::vector<PermBits> inter(std::size_t{1} << n);
   std::set<std::vector<core::Id>> closed;
-  for (std::size_t mask = 1; mask < (std::size_t{1} << n); ++mask) {
-    std::vector<core::Id> inter;
-    bool first = true;
-    for (std::size_t cls = 0; cls < n; ++cls) {
-      if ((mask & (std::size_t{1} << cls)) == 0) continue;
-      if (first) {
-        inter = rows[cls];
-        first = false;
-        continue;
-      }
-      std::vector<core::Id> next;
-      std::set_intersection(inter.begin(), inter.end(), rows[cls].begin(), rows[cls].end(),
-                            std::back_inserter(next));
-      inter = std::move(next);
-      if (inter.empty()) break;
+  for (std::size_t mask = 1; mask < inter.size(); ++mask) {
+    const std::size_t low = static_cast<std::size_t>(std::countr_zero(mask));
+    const PermBits row = bits_of(upa.rows.row(low));
+    const std::size_t rest = mask & (mask - 1);
+    inter[mask] = rest == 0 ? row : inter[rest] & row;
+    if (inter[mask].none()) continue;
+    std::vector<core::Id> set;
+    for (std::size_t perm = 0; perm < kOraclePerms; ++perm) {
+      if (inter[mask].test(perm)) set.push_back(static_cast<core::Id>(perm));
     }
-    if (!inter.empty()) closed.insert(std::move(inter));
+    closed.insert(std::move(set));
   }
   return closed;
+}
+
+/// Reference support: the classes whose row contains `set`, ascending.
+std::vector<std::uint32_t> brute_force_support(const UpaClasses& upa,
+                                               const std::vector<core::Id>& set) {
+  std::vector<std::uint32_t> support;
+  for (std::size_t cls = 0; cls < upa.num_classes(); ++cls) {
+    const auto row = upa.rows.row(cls);
+    if (std::includes(row.begin(), row.end(), set.begin(), set.end())) {
+      support.push_back(static_cast<std::uint32_t>(cls));
+    }
+  }
+  return support;
+}
+
+/// Every emitted set is closed — the intersection of the rows of its exact
+/// support — and the class rows lead, in class order.
+void expect_genuine_closed_sets(const UpaClasses& upa, const CandidateSet& candidates) {
+  ASSERT_EQ(candidates.supports.size(), candidates.permission_sets.size());
+  ASSERT_EQ(candidates.num_seeds, upa.num_classes());
+  for (std::size_t i = 0; i < candidates.permission_sets.size(); ++i) {
+    const std::vector<core::Id>& set = candidates.permission_sets[i];
+    ASSERT_FALSE(set.empty());
+    if (i < candidates.num_seeds) {
+      const auto row = upa.rows.row(i);
+      EXPECT_EQ(set, std::vector<core::Id>(row.begin(), row.end())) << "seed " << i;
+    }
+    const std::vector<std::uint32_t> support = brute_force_support(upa, set);
+    EXPECT_EQ(candidates.supports[i], support) << "support of candidate " << i;
+    ASSERT_FALSE(support.empty());
+    const auto first = upa.rows.row(support.front());
+    std::vector<core::Id> closure(first.begin(), first.end());
+    for (const std::uint32_t cls : support) {
+      const auto row = upa.rows.row(cls);
+      std::vector<core::Id> next;
+      std::set_intersection(closure.begin(), closure.end(), row.begin(), row.end(),
+                            std::back_inserter(next));
+      closure = std::move(next);
+    }
+    EXPECT_EQ(closure, set) << "candidate " << i << " is not closed";
+  }
 }
 
 /// Canonical rendering of a plan's decomposition (role order is part of the
@@ -202,6 +251,117 @@ TEST(BicliqueEnumeration, CandidateCapTruncatesToGenuineClosedSets) {
   for (const std::vector<core::Id>& set : candidates.permission_sets) {
     EXPECT_TRUE(all.contains(set));
   }
+  expect_genuine_closed_sets(upa, candidates);
+}
+
+/// Permission-id universe of the oracle sweep: ids 0..192, so the last
+/// packed word holds a single bit.
+constexpr std::size_t kSweepPerms = 193;
+
+/// Seeded random graph for the oracle sweep: up to 16 users over ids that
+/// straddle the 64-bit word edges (63/64, 127/128), where the prefix mask's
+/// boundary lies. Every fourth graph puts {63, 128} in every row, so the root
+/// closure is non-empty.
+std::vector<std::vector<core::Id>> sweep_rows(std::uint64_t seed) {
+  static constexpr core::Id kIds[] = {0,   1,   5,   62,  63,  64,  65, 100,
+                                      126, 127, 128, 129, 190, 191, 192};
+  util::Xoshiro256 rng(seed);
+  std::vector<std::vector<core::Id>> rows(1 + rng.bounded(16));
+  for (std::vector<core::Id>& row : rows) {
+    for (const core::Id id : kIds) {
+      const bool core_id = seed % 4 == 0 && (id == 63 || id == 128);
+      if (rng.bounded(100) < 45 || core_id) row.push_back(id);
+    }
+  }
+  return rows;
+}
+
+TEST(BicliqueEnumeration, OracleSweepMatchesBruteForceOnBothBackends) {
+  std::vector<std::vector<std::vector<core::Id>>> graphs = {
+      {},                                                         // zero classes
+      {{63, 64, 127, 128}},                                       // one class
+      {{63, 64}, {63, 64, 127}, {63, 64, 128}, {0, 63, 64, 192}},  // root closure is a row
+      {{62, 63, 127}, {63, 64, 128}, {63, 127, 128, 129}, {64, 127, 128}},
+  };
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) graphs.push_back(sweep_rows(seed));
+
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    SCOPED_TRACE("graph " + std::to_string(g));
+    const core::RbacDataset dataset = dataset_from_rows(kSweepPerms, graphs[g]);
+    const UpaClasses dense = build_upa_classes(dataset, linalg::RowBackend::kDense);
+    const UpaClasses sparse = build_upa_classes(dataset, linalg::RowBackend::kSparse);
+    ASSERT_TRUE(dense.dense.has_value());
+    ASSERT_FALSE(sparse.dense.has_value());
+    BicliqueOptions options;
+    options.max_candidates = 0;
+    const CandidateSet full = enumerate_closed_sets(sparse, options);
+    EXPECT_FALSE(full.truncated);
+
+    // The emitted list, supports and closure count do not depend on the backend.
+    const CandidateSet from_dense = enumerate_closed_sets(dense, options);
+    EXPECT_EQ(from_dense.permission_sets, full.permission_sets);
+    EXPECT_EQ(from_dense.supports, full.supports);
+    EXPECT_EQ(from_dense.intersections, full.intersections);
+
+    const std::set<std::vector<core::Id>> actual(full.permission_sets.begin(),
+                                                 full.permission_sets.end());
+    EXPECT_EQ(actual.size(), full.permission_sets.size()) << "duplicate candidate emitted";
+    EXPECT_EQ(actual, brute_force_closed_sets(sparse));
+    expect_genuine_closed_sets(sparse, full);
+
+    // A list cut by the cap is a prefix of the full list, on either backend.
+    const std::size_t total = full.permission_sets.size();
+    for (std::size_t cap = std::max<std::size_t>(sparse.num_classes(), 1); cap < total;
+         cap += 1 + total / 4) {
+      options.max_candidates = cap;
+      for (const UpaClasses* upa : {&dense, &sparse}) {
+        const CandidateSet capped = enumerate_closed_sets(*upa, options);
+        EXPECT_TRUE(capped.truncated) << "cap " << cap;
+        ASSERT_EQ(capped.permission_sets.size(), cap);
+        EXPECT_TRUE(std::equal(capped.permission_sets.begin(), capped.permission_sets.end(),
+                               full.permission_sets.begin()))
+            << "cap " << cap;
+        EXPECT_TRUE(std::equal(capped.supports.begin(), capped.supports.end(),
+                               full.supports.begin()))
+            << "cap " << cap;
+      }
+    }
+  }
+}
+
+/// 200 users holding 25 of 100 permissions each: far more closed sets than
+/// the budgets below can enumerate.
+core::RbacDataset dense_random_dataset() {
+  util::Xoshiro256 rng(7);
+  std::vector<std::vector<core::Id>> rows(200);
+  for (std::vector<core::Id>& row : rows) {
+    std::set<core::Id> perms;
+    while (perms.size() < 25) perms.insert(static_cast<core::Id>(rng.bounded(100)));
+    row.assign(perms.begin(), perms.end());
+  }
+  return dataset_from_rows(100, rows);
+}
+
+TEST(BicliqueEnumeration, DeadlineCutLeavesGenuineClosedSets) {
+  const UpaClasses upa = build_upa_classes(dense_random_dataset());
+  BicliqueOptions options;
+  options.max_candidates = 0;
+  const util::ExecutionContext ctx(0.05);
+  const CandidateSet candidates = enumerate_closed_sets(upa, options, ctx);
+  EXPECT_TRUE(candidates.truncated);
+  expect_genuine_closed_sets(upa, candidates);
+}
+
+TEST(Mining, BudgetExpiringDuringEnumerationStillVerifies) {
+  const core::RbacDataset dataset = dense_random_dataset();
+  MiningOptions options;
+  options.max_candidates = 0;
+  options.time_budget_s = 0.05;
+  const MiningOutcome outcome = mine(dataset, options);
+  EXPECT_TRUE(outcome.plan.stats.enumeration_truncated);
+  EXPECT_TRUE(outcome.verified);
+  EXPECT_TRUE(core::verify_equivalence(dataset, outcome.migrated));
+  expect_unique_role_names(outcome.plan);
 }
 
 // ---- planted recovery ------------------------------------------------------
