@@ -2,8 +2,7 @@
 # Regenerates every figure/table of the paper plus the extension benches.
 # BENCH_THREADS=N reruns the figure sweeps with N worker threads (default 1,
 # the paper's serial setup; groups are identical at every thread count — see
-# util/thread_pool.hpp). The thread-sweep bench always runs its own 1/2/4/8
-# ladder on the Fig. 3 workload.
+# util/thread_pool.hpp and the Differential ctest suite).
 set -u
 cd /root/repo
 out=/root/repo/bench_output.txt
@@ -15,41 +14,13 @@ for b in bench_fig2_users_sweep bench_fig3_roles_sweep bench_similar_sweep \
   ./build/bench/$b --threads "$threads" >> "$out" 2>&1
   echo "" >> "$out"
 done
-for b in bench_thread_sweep bench_density_sweep bench_convergence bench_ablation \
-         bench_micro; do
+for b in bench_convergence bench_ablation; do
   echo "############ $b ############" >> "$out"
   ./build/bench/$b >> "$out" 2>&1
   echo "" >> "$out"
 done
-# Machine-readable per-phase timings + work stats (Fig. 3 workload):
-# BENCH_pipeline.json is the artifact CI archives per commit.
-echo "############ bench_pipeline (threads=$threads) ############" >> "$out"
-./build/bench/bench_pipeline --threads "$threads" --out /root/repo/BENCH_pipeline.json \
-  >> "$out" 2>&1
-echo "" >> "$out"
-# Steady-state engine vs batch audit after small deltas: BENCH_reaudit.json
-# is the second JSON artifact CI archives per commit.
-echo "############ bench_reaudit (threads=$threads) ############" >> "$out"
-./build/bench/bench_reaudit --threads "$threads" --out /root/repo/BENCH_reaudit.json \
-  >> "$out" 2>&1
-echo "" >> "$out"
-# Durable-store checkpoint/recover vs cold replay: BENCH_recovery.json is
-# the third JSON artifact CI archives per commit.
-echo "############ bench_recovery (threads=$threads) ############" >> "$out"
-./build/bench/bench_recovery --threads "$threads" --out /root/repo/BENCH_recovery.json \
-  >> "$out" 2>&1
-echo "" >> "$out"
-# Long-horizon churn through the durable engine (findings drift, verify
-# work, checkpoint/recovery cost over simulated years): BENCH_churn.json is
-# the fourth JSON artifact CI archives per commit. Small default scale here
-# (--quick: 2k employees, 2 years); pass --employees/--years to bench_churn
-# directly for the paper-scale 60k-employee run.
-echo "############ bench_churn (threads=$threads) ############" >> "$out"
-./build/bench/bench_churn --quick --threads "$threads" --out /root/repo/BENCH_churn.json \
-  >> "$out" 2>&1
-echo "" >> "$out"
 # SIMD kernel dispatch: batched verify kernels vs scalar single-pair, per
-# dispatch target the host supports. BENCH_kernels.json is the fifth JSON
+# dispatch target the host supports. BENCH_kernels.json is the first JSON
 # artifact CI archives per commit; its "capability" field says which ISAs
 # this run could actually exercise.
 echo "############ bench_kernels ############" >> "$out"
@@ -57,23 +28,14 @@ echo "############ bench_kernels ############" >> "$out"
 echo "" >> "$out"
 # Sharded-engine scale sweep (Fig. 2 workload at 1M-10M users, shuffled vs
 # id-local role orderings, per-shard work counters): BENCH_shard.json is the
-# sixth JSON artifact CI archives per commit. --quick keeps it to the sweep
+# second JSON artifact CI archives per commit. --quick keeps it to the sweep
 # endpoints; drop it for the full 1M/2M/5M/10M x {1,2,4,8}-shard ladder.
 echo "############ bench_shard (threads=$threads) ############" >> "$out"
 ./build/bench/bench_shard --quick --threads "$threads" --out /root/repo/BENCH_shard.json \
   >> "$out" 2>&1
 echo "" >> "$out"
-# Writer/reader split under closed-loop reader fleets: read-latency
-# percentiles vs offered load, writer stall time, versions/sec.
-# BENCH_serving.json is the seventh JSON artifact CI archives per commit;
-# the bench fails unless reads completed during an in-flight reaudit
-# (the non-blocking-readers property). --quick keeps the fleet ladder to
-# {1,2} readers; drop it for {1,2,4} at the full scale.
-echo "############ bench_serving ############" >> "$out"
-./build/bench/bench_serving --quick --out /root/repo/BENCH_serving.json >> "$out" 2>&1
-echo "" >> "$out"
 # Role mining vs the duplicate-merge baseline on org / Fig. 3-scale / churn /
-# planted workloads: BENCH_mining.json is the eighth JSON artifact CI
+# planted workloads: BENCH_mining.json is the third JSON artifact CI
 # archives per commit. The bench exits non-zero unless every plan verifies,
 # mining beats the baseline, and planted recovery stays within its bound.
 # --quick trims the Fig. 3 ladder and the churn/planted scale.

@@ -591,7 +591,8 @@ int cmd_recover(Args& args, std::ostream& out) {
 
 /// A name-based trace of `count` effective single mutations (alternating
 /// revocations of existing edges and fresh additions), validated against a
-/// scratch engine so no-ops don't count. Same recipe as bench_recovery's.
+/// scratch engine so no-ops don't count. Same recipe as the tests' build_trace
+/// (tests/fig3_workload.hpp).
 std::vector<core::Mutation> build_serve_trace(const core::RbacDataset& base, std::size_t count,
                                               util::Xoshiro256& rng) {
   std::vector<std::pair<core::Id, core::Id>> user_edges, perm_edges;
@@ -1125,6 +1126,8 @@ int cmd_convert(Args& args, std::ostream& out) {
   if (args.done()) throw UsageError("convert: missing output path");
   const std::string out_path = args.take();
   if (!args.done()) throw UsageError("convert: unexpected argument '" + args.peek() + "'");
+  if (in_path.empty()) throw UsageError("convert: empty input path");
+  if (out_path.empty()) throw UsageError("convert: empty output path");
 
   // Input format by shape: a directory is a CSV dataset, a file is binary.
   core::RbacDataset dataset;

@@ -29,8 +29,9 @@
 // replays through AuditEngine::apply() without no-ops (journal semantics
 // stay idempotent regardless). tests/churn_replay_test.cpp replays compact
 // configs through EngineStore across every method/backend/thread count;
-// bench_churn charts findings drift and re-audit cost over simulated years
-// at 60k+ employees.
+// the churn-serve workload of perfbench/ streams 122 days of a
+// 60k-employee lifecycle and reports its re-audit cost
+// (`core.delta_reaudit_ms`).
 #pragma once
 
 #include <cstdint>

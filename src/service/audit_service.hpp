@@ -100,7 +100,7 @@ struct ServiceStats {
   std::atomic<std::uint64_t> reads_rejected{0};
   /// Seconds the writer spent *not* applying batches (reaudit + checkpoint):
   /// the stall a synchronous design would impose on readers, and what
-  /// bench_serving shows readers no longer pay.
+  /// perfbench's `service.reads_in_reaudit` shows readers no longer pay.
   std::atomic<double> writer_stall_seconds{0.0};
   std::atomic<double> reaudit_seconds{0.0};
   std::atomic<double> checkpoint_seconds{0.0};
@@ -222,8 +222,9 @@ class AuditService {
   /// null once the constructor returned).
   [[nodiscard]] std::shared_ptr<const core::EngineVersion> current_version() const;
 
-  /// True while the writer is inside a reaudit — bench_serving uses this to
-  /// prove reads complete *during* one.
+  /// True while the writer is inside a reaudit — service_test's
+  /// ServiceReads.ReadCompletesWhileReauditInFlight uses this to prove reads
+  /// complete *during* one.
   [[nodiscard]] bool reaudit_in_flight() const noexcept {
     return reaudit_in_flight_.load(std::memory_order_acquire);
   }

@@ -38,12 +38,19 @@ class ExecutionContext {
   ExecutionContext() = default;
 
   /// Deadline `budget_seconds` from now; <= 0 means unlimited (the
-  /// AuditOptions::time_budget_s convention).
+  /// AuditOptions::time_budget_s convention). A budget past the clock's
+  /// range (~9.2e9 s of nanosecond ticks) saturates to the farthest
+  /// representable deadline instead of overflowing into the past.
   explicit ExecutionContext(double budget_seconds) {
     if (budget_seconds > 0.0) {
       has_deadline_ = true;
-      deadline_ = clock::now() + std::chrono::duration_cast<clock::duration>(
-                                     std::chrono::duration<double>(budget_seconds));
+      const clock::time_point now = clock::now();
+      // The 1 s margin absorbs the rounding of the double comparison.
+      const std::chrono::duration<double> headroom = clock::time_point::max() - now;
+      deadline_ = budget_seconds < headroom.count() - 1.0
+                      ? now + std::chrono::duration_cast<clock::duration>(
+                                  std::chrono::duration<double>(budget_seconds))
+                      : clock::time_point::max();
     }
   }
 

@@ -388,6 +388,20 @@ TEST(Cli, ConvertRejectsGarbageBinary) {
   const CliResult r = run_cli({"convert", dir.path("junk.rdb"), dir.path("out.rdb")});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("error:"), std::string::npos);
+  // An empty path is a usage error, checked before any file is touched.
+  EXPECT_EQ(run_cli({"convert", dir.path("junk.rdb"), ""}).code, 2);
+  EXPECT_EQ(run_cli({"convert", "", dir.path("out.rdb")}).code, 2);
+}
+
+// A budget past the clock's range (~9.2e9 s) is effectively unlimited: no
+// type-4/5 phase may be skipped or cut short.
+TEST(Cli, AuditWithHugeBudgetSkipsNoPhase) {
+  CliDir dir;
+  io::save_dataset(rolediet::testing::figure1_dataset(), dir.path("data"));
+  const CliResult r = run_cli({"audit", "--budget", "1e10", dir.path("data")});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(r.out.find("skipped"), std::string::npos) << r.out;
+  EXPECT_EQ(r.out.find("timed out"), std::string::npos) << r.out;
 }
 
 TEST(Cli, AuditWithMinhashMethod) {

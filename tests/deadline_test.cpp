@@ -75,6 +75,16 @@ TEST(ExecutionContext, NonPositiveBudgetMeansUnlimited) {
   EXPECT_TRUE(ExecutionContext(10.0).has_deadline());
 }
 
+// Budgets past the clock's nanosecond range (~9.2e9 s) saturate, never expire.
+TEST(ExecutionContext, HugeBudgetSaturatesInsteadOfExpiring) {
+  for (double budget : {9e9, 1e10, 1e300, std::numeric_limits<double>::max()}) {
+    const ExecutionContext ctx(budget);
+    EXPECT_TRUE(ctx.has_deadline()) << budget;
+    EXPECT_FALSE(ctx.expired()) << budget;
+    EXPECT_GT(ctx.remaining_seconds(), 1e9) << budget;
+  }
+}
+
 TEST(ExecutionContext, DeadlineTripsAndLatchesInterrupted) {
   const ExecutionContext ctx(1e-9);
   std::this_thread::sleep_for(std::chrono::milliseconds(1));

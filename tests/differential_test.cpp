@@ -9,7 +9,9 @@
 //  - similar-set detection by the co-occurrence sweep matches DBSCAN at
 //    eps = t for matching thresholds;
 //  - every `threads` value produces byte-identical groups (the knob
-//    convention in util/thread_pool.hpp) — compared here at 1 vs 4.
+//    convention in util/thread_pool.hpp) — compared here at 1, 2, 4 and 8.
+//
+// The thread and backend cases also run on fixed sweep shapes (end of file).
 #include <gtest/gtest.h>
 
 #include "core/framework.hpp"
@@ -74,17 +76,20 @@ TEST_P(Differential, SameSetGroupsIdenticalAcrossAllFinders) {
   }
 }
 
-TEST_P(Differential, SimilarSetSweepMatchesDbscanAtMatchingThresholds) {
-  const linalg::CsrMatrix m = workload(GetParam() ^ 0x51A17u);
+void expect_similar_sweep_matches_dbscan(const linalg::CsrMatrix& m) {
   for (std::size_t t : {std::size_t{1}, std::size_t{2}}) {
     const RoleGroups reference = DbscanGroupFinder().find_similar(m, t);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
       EXPECT_EQ(RoleDietGroupFinder({.threads = threads}).find_similar(m, t), reference)
           << "t=" << t << ", threads=" << threads;
       EXPECT_EQ(DbscanGroupFinder({.threads = threads}).find_similar(m, t), reference)
           << "dbscan t=" << t << ", threads=" << threads;
     }
   }
+}
+
+TEST_P(Differential, SimilarSetSweepMatchesDbscanAtMatchingThresholds) {
+  expect_similar_sweep_matches_dbscan(workload(GetParam() ^ 0x51A17u));
 }
 
 // ------------------------------------------------- backend equivalence ------
@@ -129,8 +134,7 @@ core::RbacDataset dataset_from(const linalg::CsrMatrix& ruam, const linalg::CsrM
   return d;
 }
 
-TEST_P(Differential, BackendsProduceIdenticalGroupsAndCounters) {
-  const linalg::CsrMatrix m = workload(GetParam() ^ 0xBACEDu);
+void expect_backends_agree(const linalg::CsrMatrix& m) {
   for (Method method : {Method::kExactDbscan, Method::kApproxHnsw, Method::kApproxMinhash}) {
     GroupFinderOptions dense_opts;
     dense_opts.backend = linalg::RowBackend::kDense;
@@ -150,6 +154,10 @@ TEST_P(Differential, BackendsProduceIdenticalGroupsAndCounters) {
         << where;
     expect_work_eq(dense->last_work(), sparse->last_work(), where + " jaccard");
   }
+}
+
+TEST_P(Differential, BackendsProduceIdenticalGroupsAndCounters) {
+  expect_backends_agree(workload(GetParam() ^ 0xBACEDu));
 }
 
 TEST_P(Differential, AuditReportsIdenticalAcrossBackends) {
@@ -319,6 +327,46 @@ TEST_P(Differential, ReportsIdenticalAcrossKernelDispatchTargets) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Differential, ::testing::Range<std::uint64_t>(0, 25));
+
+// ------------------------------------------------------- sweep shapes -------
+// Fixed inputs beyond the seeded family: the thread case on the Fig. 3 point,
+// the backend case either side of the 1% density threshold.
+
+struct SweepShape {
+  const char* name;
+  gen::MatrixGenParams params;
+};
+
+// Printed into the ctest name, e.g. ".../fig3_2000x1000".
+void PrintTo(const SweepShape& shape, std::ostream* os) { *os << shape.name; }
+
+class ThreadSweepShape : public ::testing::TestWithParam<SweepShape> {};
+
+TEST_P(ThreadSweepShape, SimilarSetSweepMatchesDbscanAtMatchingThresholds) {
+  expect_similar_sweep_matches_dbscan(gen::generate_matrix(GetParam().params).matrix);
+}
+
+// The generator's defaults are the paper's Fig. 3 settings.
+INSTANTIATE_TEST_SUITE_P(
+    Fig3, ThreadSweepShape,
+    ::testing::Values(SweepShape{"fig3_2000x1000", {.roles = 2000, .cols = 1000, .seed = 5000}}));
+
+class DensitySweepShape : public ::testing::TestWithParam<SweepShape> {};
+
+TEST_P(DensitySweepShape, BackendsProduceIdenticalGroupsAndCounters) {
+  expect_backends_agree(gen::generate_matrix(GetParam().params).matrix);
+}
+
+// 3 and 30 entries per 600-column row: 0.5% density, where kAuto picks the
+// sparse backend (no seeded workload is that sparse), and 5%.
+INSTANTIATE_TEST_SUITE_P(
+    Density, DensitySweepShape,
+    ::testing::Values(SweepShape{"density_0_5pct",
+                                 {.roles = 800, .cols = 600, .min_row_norm = 3, .max_row_norm = 3,
+                                  .perturb_bits = 1, .seed = 4242 + 5000}},
+                      SweepShape{"density_5pct",
+                                 {.roles = 800, .cols = 600, .min_row_norm = 30, .max_row_norm = 30,
+                                  .perturb_bits = 1, .seed = 4242 + 50000}}));
 
 }  // namespace
 }  // namespace rolediet

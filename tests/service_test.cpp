@@ -10,9 +10,9 @@
 // approx-hnsw (whose maintained graph is history-dependent by design), so
 // the stress runs the exact default method.
 //
-// The *T8* cases are the multithreaded ones; CI runs exactly those under
-// ThreadSanitizer (.github/workflows/ci.yml), which is what turns "no data
-// races by construction" from a design claim into a checked one.
+// The *T8* cases and ReadCompletesWhileReauditInFlight are the multithreaded
+// ones; CI runs exactly those under ThreadSanitizer (.github/workflows/ci.yml),
+// which turns "no data races by construction" into a checked claim.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,16 +23,17 @@
 #include "core/digest.hpp"
 #include "core/engine.hpp"
 #include "core/framework.hpp"
+#include "fig3_workload.hpp"
 #include "gen/matrix_generator.hpp"
 #include "service/audit_service.hpp"
 #include "store/engine_store.hpp"
 #include "store/snapshot.hpp"
 #include "test_helpers.hpp"
-#include "util/prng.hpp"
 
 namespace rolediet {
 namespace {
 
+using testing::build_trace;
 using testing::ScopedTempDir;
 
 /// Small generated dataset; `dense` controls row density (both shapes keep
@@ -58,53 +59,6 @@ core::RbacDataset small_dataset(bool dense) {
     for (std::uint32_t p : rpam.row(r)) dataset.grant_permission(static_cast<core::Id>(r), p);
   }
   return dataset;
-}
-
-/// Effective name-based mutation trace (the bench_recovery recipe): each
-/// entry changes state for sure, validated against a scratch engine.
-std::vector<core::Mutation> build_trace(const core::RbacDataset& base, std::size_t count,
-                                        std::uint64_t seed) {
-  std::vector<std::pair<core::Id, core::Id>> user_edges, perm_edges;
-  for (std::size_t r = 0; r < base.num_roles(); ++r) {
-    for (std::uint32_t u : base.ruam().row(r))
-      user_edges.emplace_back(static_cast<core::Id>(r), u);
-    for (std::uint32_t p : base.rpam().row(r))
-      perm_edges.emplace_back(static_cast<core::Id>(r), p);
-  }
-  const auto users = static_cast<core::Id>(base.num_users());
-  const auto perms = static_cast<core::Id>(base.num_permissions());
-  const auto roles = static_cast<core::Id>(base.num_roles());
-
-  util::Xoshiro256 rng(seed);
-  core::AuditEngine scratch(base, {});
-  std::vector<core::Mutation> trace;
-  while (trace.size() < count) {
-    const std::uint64_t before = scratch.version();
-    core::RbacDelta one;
-    switch (trace.size() % 4) {
-      case 0: {
-        const auto& [r, u] = user_edges[rng.bounded(user_edges.size())];
-        one.revoke_user(base.role_name(r), base.user_name(u));
-        break;
-      }
-      case 1:
-        one.assign_user(base.role_name(static_cast<core::Id>(rng.bounded(roles))),
-                        base.user_name(static_cast<core::Id>(rng.bounded(users))));
-        break;
-      case 2: {
-        const auto& [r, p] = perm_edges[rng.bounded(perm_edges.size())];
-        one.revoke_permission(base.role_name(r), base.permission_name(p));
-        break;
-      }
-      default:
-        one.grant_permission(base.role_name(static_cast<core::Id>(rng.bounded(roles))),
-                             base.permission_name(static_cast<core::Id>(rng.bounded(perms))));
-        break;
-    }
-    scratch.apply(one);
-    if (scratch.version() != before) trace.push_back(std::move(one.mutations.front()));
-  }
-  return trace;
 }
 
 /// Byte-identity of everything the version claims about its dataset: the
@@ -324,6 +278,55 @@ TEST(ServiceReads, GroupOfAnswersFromPinnedVersionOnly) {
 
   const service::Findings findings = session.findings();
   EXPECT_EQ(&findings.structural, &session.report().structural);
+}
+
+// Non-blocking readers: some read starts AND completes inside one in-flight
+// reaudit. The flag must still be set afterwards, and no version published
+// meanwhile (the writer counts a publication after clearing the flag, so
+// the count rules out one reaudit ending and the next starting around the
+// read). Readers that wait on the writer cannot pass, even on one core.
+TEST(ServiceReads, ReadCompletesWhileReauditInFlight) {
+  constexpr std::size_t kBatches = 64;
+  constexpr std::size_t kBatchSize = 24;
+  const core::RbacDataset dataset = testing::fig3_dataset(600);
+  const std::vector<core::Mutation> trace =
+      build_trace(dataset, kBatches * kBatchSize, 0x5E12E + 600);
+  ScopedTempDir dir("service_inflight");
+  service::ServiceOptions service_options;
+  service_options.reaudit_every = 1;
+  service_options.checkpoint_every = 0;
+  store::StoreOptions store_options;
+  store_options.fsync = store::FsyncPolicy::kNone;
+  service::AuditService svc(dir.path(), dataset, {}, service_options, store_options);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> qualified{0};
+  std::thread prober([&] {
+    while (!done.load(std::memory_order_acquire) && qualified.load() == 0) {
+      const std::uint64_t published = svc.stats().versions_published.load();
+      if (!svc.reaudit_in_flight()) {
+        std::this_thread::yield();
+        continue;
+      }
+      const service::ReadSession session = svc.begin_read();
+      (void)session.group_of(session.version().dataset->role_name(0));
+      if (svc.reaudit_in_flight() && svc.stats().versions_published.load() == published)
+        qualified.fetch_add(1);
+    }
+  });
+
+  for (std::size_t b = 0; b < kBatches && qualified.load() == 0; ++b) {
+    core::RbacDelta delta;
+    delta.mutations.assign(trace.begin() + static_cast<std::ptrdiff_t>(b * kBatchSize),
+                           trace.begin() + static_cast<std::ptrdiff_t>((b + 1) * kBatchSize));
+    if (!svc.submit(std::move(delta))) break;
+  }
+  svc.stop();
+  done.store(true, std::memory_order_release);
+  prober.join();
+
+  ASSERT_EQ(svc.writer_error(), nullptr);
+  EXPECT_GT(qualified.load(), 0u) << "no read started and completed inside one reaudit";
 }
 
 // ---- checkpoint-from-published regression ----------------------------------

@@ -11,6 +11,7 @@
 
 #include "core/digest.hpp"
 #include "core/engine.hpp"
+#include "fig3_workload.hpp"
 #include "io/journal.hpp"
 #include "store/engine_store.hpp"
 #include "store/snapshot.hpp"
@@ -24,6 +25,9 @@ namespace fs = std::filesystem;
 
 using rolediet::testing::ScopedTempDir;
 using rolediet::testing::figure1_dataset;
+using rolediet::testing::build_trace;
+using rolediet::testing::fig3_dataset;
+using rolediet::testing::similar_pairs;
 
 /// Findings-only rendering: timings and work counters zeroed, everything
 /// else (groups, counts, engine version, dataset digest) kept byte-exact.
@@ -383,6 +387,48 @@ TEST(EngineStore, OptionChangeDropsCachesButKeepsFindingsRight) {
   core::AuditEngine reference(base, changed);
   reference.apply(sample_delta());
   EXPECT_EQ(findings_text(reopened.engine().reaudit()), findings_text(reference.reaudit()));
+}
+
+// open() restores the cached pair verdicts, so after a 1% WAL tail the first
+// reaudit re-verifies strictly fewer pairs than a cold replay, with the same
+// findings, version and digest. Fig. 3 at 600 roles, every cache-carrying
+// method (approx-hnsw rebuilds its graph by design).
+TEST(EngineStore, RecoveryReverifiesFewerPairsThanColdReplay) {
+  const core::RbacDataset dataset = fig3_dataset(600);
+  const std::size_t edges = dataset.ruam().nnz() + dataset.rpam().nnz();
+  const std::vector<core::Mutation> trace = build_trace(dataset, edges / 100, 0x5707E + 600);
+  StoreOptions store_options;
+  store_options.fsync = FsyncPolicy::kNone;
+  for (core::Method method :
+       {core::Method::kRoleDiet, core::Method::kExactDbscan, core::Method::kApproxMinhash}) {
+    core::AuditOptions options;
+    options.method = method;
+    ScopedTempDir dir("store_recovery_work");
+    {
+      EngineStore store = EngineStore::create(dir.path(), dataset, options, store_options);
+      (void)store.engine().reaudit();
+      (void)store.checkpoint();
+      for (const core::Mutation& m : trace) {
+        core::RbacDelta one;
+        one.mutations.push_back(m);
+        store.apply(one);
+      }
+    }  // crash after the tail: no second checkpoint
+
+    EngineStore recovered = EngineStore::open(dir.path(), options, store_options);
+    ASSERT_EQ(recovered.recovery().replayed_records, trace.size());
+    const core::AuditReport warm = recovered.engine().reaudit();
+
+    core::AuditEngine cold(dataset, options);
+    core::RbacDelta all;
+    all.mutations = trace;
+    cold.apply(all);
+    const core::AuditReport batch = cold.reaudit();
+
+    const std::string where(core::to_string(method));
+    EXPECT_EQ(findings_text(warm), findings_text(batch)) << where;
+    EXPECT_LT(similar_pairs(warm), similar_pairs(batch)) << where;
+  }
 }
 
 TEST(EngineStore, ReportCarriesStoreProvenance) {
