@@ -26,8 +26,7 @@
 #include "mining/miner.hpp"
 #include "core/sharded_engine.hpp"
 #include "service/audit_service.hpp"
-#include "store/engine_store.hpp"
-#include "store/sharded_store.hpp"
+#include "store/store.hpp"
 #include "util/prng.hpp"
 #include "util/timer.hpp"
 
@@ -214,135 +213,20 @@ store::StoreOptions parse_store_options(Args& args) {
   return store_options;
 }
 
-void print_recovery(const store::RecoveryInfo& info, std::ostream& out) {
-  out << "recover: snapshot " << info.snapshot_path.filename().string() << " ("
-      << info.snapshot_records << " records baked in)"
-      << (info.used_fallback_snapshot ? " [newest snapshot invalid: fell back]" : "") << "\n";
-  out << "recover: replayed " << info.replayed_records << " WAL records -> "
-      << info.total_records << " committed records total\n";
-  if (info.truncated_bytes > 0)
-    out << "recover: truncated " << info.truncated_bytes << " torn tail bytes\n";
-  if (info.dropped_torn_segment) out << "recover: dropped torn-header final segment\n";
-  if (info.caches_dropped)
-    out << "recover: audit options changed since checkpoint; cached verdicts dropped\n";
+/// Runs a store create/open, naming the store directory in any StoreError.
+template <typename Fn>
+store::Store with_store_dir(const std::string& dir, Fn&& fn) {
+  try {
+    return fn();
+  } catch (const store::StoreError& e) {
+    throw std::runtime_error("store " + dir + ": " + e.what());
+  }
 }
 
-void print_recovery(const store::ShardedRecoveryInfo& info, std::size_t shards,
-                    std::ostream& out) {
-  out << "recover: sharded checkpoint " << info.checkpoint_id << " across " << shards
-      << " shards (" << info.manifest_coord_records << " coordinator records baked in)\n";
-  out << "recover: replayed " << info.commits_applied << " commits -> "
-      << info.replayed_interns << " interns + " << info.replayed_edges << " edge records\n";
-  if (info.discarded_records > 0)
-    out << "recover: discarded " << info.discarded_records << " uncommitted tail records\n";
-  if (info.truncated_bytes > 0)
-    out << "recover: truncated " << info.truncated_bytes << " torn tail bytes\n";
-  if (info.dropped_torn_segment) out << "recover: dropped torn-header final segment\n";
+/// "1 engine" or "N shards": the layout a store verb reports it runs on.
+std::string layout_label(std::size_t shards) {
+  return shards == 0 ? "1 engine" : std::to_string(shards) + " shards";
 }
-
-/// One durable engine session behind either store layout. All four store
-/// verbs (`replay --store`, `churn`, `checkpoint`, `recover`) funnel through
-/// create()/open() so layout selection, recovery reporting, and error
-/// context stay uniform: create() picks the layout from --shards, open()
-/// auto-detects whatever is on disk, and every StoreError is rethrown with
-/// the store directory attached.
-class StoreSession {
- public:
-  static StoreSession create(const std::string& dir, const core::RbacDataset& dataset,
-                             std::optional<std::size_t> shards,
-                             const core::AuditOptions& options,
-                             const store::StoreOptions& store_options) {
-    StoreSession session;
-    try {
-      if (shards) {
-        session.sharded_.emplace(
-            store::ShardedEngineStore::create(dir, dataset, *shards, options, store_options));
-      } else {
-        session.flat_.emplace(store::EngineStore::create(dir, dataset, options, store_options));
-      }
-    } catch (const store::StoreError& e) {
-      throw std::runtime_error("store " + dir + ": " + e.what());
-    }
-    return session;
-  }
-
-  static StoreSession open(const std::string& dir, const core::AuditOptions& options,
-                           const store::StoreOptions& store_options, std::ostream& out) {
-    StoreSession session;
-    try {
-      if (store::ShardedEngineStore::is_sharded_store(dir)) {
-        session.sharded_.emplace(store::ShardedEngineStore::open(dir, options, store_options));
-        print_recovery(session.sharded_->recovery(), session.sharded_->num_shards(), out);
-      } else {
-        session.flat_.emplace(store::EngineStore::open(dir, options, store_options));
-        print_recovery(session.flat_->recovery(), out);
-      }
-    } catch (const store::StoreError& e) {
-      throw std::runtime_error("store " + dir + ": " + e.what());
-    }
-    return session;
-  }
-
-  /// "durable store at DIR (...)" suffix describing the layout.
-  [[nodiscard]] std::string layout() const {
-    return sharded_ ? std::to_string(sharded_->num_shards()) + " shards" : "1 engine";
-  }
-
-  void apply(const core::RbacDelta& delta) {
-    if (sharded_) {
-      sharded_->apply(delta);
-    } else {
-      flat_->apply(delta);
-    }
-  }
-
-  /// Durable records so far — WAL records for the flat layout, coordinator +
-  /// shard records for the sharded one (both monotone per committed batch).
-  [[nodiscard]] std::uint64_t records() const {
-    if (!sharded_) return flat_->records();
-    std::uint64_t total = sharded_->records();
-    for (std::size_t s = 0; s < sharded_->num_shards(); ++s)
-      total += sharded_->shard_records(s);
-    return total;
-  }
-
-  /// Checkpoints and returns a printable label of the new generation.
-  std::string checkpoint() {
-    if (sharded_) return "generation " + std::to_string(sharded_->checkpoint());
-    return flat_->checkpoint().filename().string();
-  }
-
-  void print_baseline(std::ostream& out) const {
-    if (sharded_) {
-      out << "checkpoint: baseline generation 0 across " << sharded_->num_shards()
-          << " shards\n";
-    } else {
-      out << "checkpoint: baseline snapshot "
-          << flat_->recovery().snapshot_path.filename().string() << " at record 0\n";
-    }
-  }
-
-  // Engine facade: the handful of calls the verbs actually make. Reaudits go
-  // through the *store* wrappers so versions are published and checkpoints
-  // snapshot the published version (engine_store.hpp), not the live writer.
-  [[nodiscard]] core::AuditReport reaudit() {
-    return sharded_ ? sharded_->reaudit() : flat_->reaudit();
-  }
-  [[nodiscard]] std::uint64_t version() const {
-    return sharded_ ? sharded_->engine().version() : flat_->engine().version();
-  }
-  [[nodiscard]] std::uint64_t audits() const {
-    return sharded_ ? sharded_->engine().audits() : flat_->engine().audits();
-  }
-  [[nodiscard]] core::RbacDataset snapshot() const {
-    return sharded_ ? sharded_->engine().snapshot() : flat_->engine().snapshot();
-  }
-
- private:
-  StoreSession() = default;
-  std::optional<store::EngineStore> flat_;
-  std::optional<store::ShardedEngineStore> sharded_;
-};
 
 // ---------------------------------------------------------------- replay ---
 
@@ -375,12 +259,14 @@ int cmd_replay(Args& args, std::ostream& out) {
 
   // With --store the engine lives inside a durable store: every batch is
   // WAL-logged before it is applied, and checkpoints collapse the log.
-  std::optional<StoreSession> durable;
+  std::optional<store::Store> durable;
   std::optional<core::AuditEngine> local;
   if (store_dir) {
-    durable.emplace(StoreSession::create(*store_dir, dataset, shards, options, store_options));
-    out << "replay: durable store at " << *store_dir << " (" << durable->layout() << ", fsync "
-        << store::to_string(store_options.fsync) << ")\n";
+    durable.emplace(with_store_dir(*store_dir, [&] {
+      return store::Store::create(*store_dir, dataset, shards.value_or(0), options, store_options);
+    }));
+    out << "replay: durable store at " << *store_dir << " (" << layout_label(durable->shards())
+        << ", fsync " << store::to_string(store_options.fsync) << ")\n";
   } else {
     local.emplace(dataset, options);
   }
@@ -515,11 +401,13 @@ int cmd_churn(Args& args, std::ostream& out) {
   // The stream starts from an empty dataset (day 0 bootstraps the org), so
   // the store's baseline snapshot is empty and the whole history is WAL.
   gen::ChurnSimulator sim(config);
-  StoreSession durable =
-      StoreSession::create(store_dir, core::RbacDataset{}, shards, options, store_options);
+  store::Store durable = with_store_dir(store_dir, [&] {
+    return store::Store::create(store_dir, core::RbacDataset{}, shards.value_or(0), options,
+                                store_options);
+  });
   out << "churn: simulating " << config.initial_employees << " employees over "
       << config.years << " years (seed " << config.seed << ") into " << store_dir << " ("
-      << durable.layout() << ")\n";
+      << layout_label(durable.shards()) << ")\n";
 
   core::AuditReport report;
   while (!sim.done()) {
@@ -563,12 +451,17 @@ int cmd_checkpoint(Args& args, std::ostream& out) {
   if (!args.done()) throw UsageError("checkpoint: unexpected argument '" + args.peek() + "'");
 
   const core::RbacDataset dataset = io::load_dataset(dir);
-  const StoreSession durable =
-      StoreSession::create(store_dir, dataset, shards, options, store_options);
+  const store::Store durable = with_store_dir(store_dir, [&] {
+    return store::Store::create(store_dir, dataset, shards.value_or(0), options, store_options);
+  });
   out << "checkpoint: initialized store " << store_dir << " from " << dir << " ("
       << dataset.num_users() << " users, " << dataset.num_roles() << " roles, "
       << dataset.num_permissions() << " permissions)\n";
-  durable.print_baseline(out);
+  if (durable.shards() == 0) {
+    out << "checkpoint: baseline snapshot " << store::snapshot_name(0) << " at record 0\n";
+  } else {
+    out << "checkpoint: baseline generation 0 across " << durable.shards() << " shards\n";
+  }
   return 0;
 }
 
@@ -580,7 +473,9 @@ int cmd_recover(Args& args, std::ostream& out) {
   const std::string store_dir = args.take();
   if (!args.done()) throw UsageError("recover: unexpected argument '" + args.peek() + "'");
 
-  StoreSession durable = StoreSession::open(store_dir, options, store_options, out);
+  store::Store durable = with_store_dir(
+      store_dir, [&] { return store::Store::open(store_dir, options, store_options); });
+  out << durable.recovery_text();
   const core::AuditReport report = durable.reaudit();
   out << report.to_text();
   if (json_path) write_text_file(*json_path, io::report_to_json(report, durable.snapshot()));
@@ -681,9 +576,7 @@ int cmd_serve(Args& args, std::ostream& out) {
       build_serve_trace(dataset, batches * batch_size, rng);
 
   service::AuditService svc(store_dir, dataset, options, service_options, store_options);
-  out << "serve: store " << store_dir << " ("
-      << (service_options.shards == 0 ? std::string("1 engine")
-                                      : std::to_string(service_options.shards) + " shards")
+  out << "serve: store " << store_dir << " (" << layout_label(service_options.shards)
       << "), baseline version published\n";
 
   // Closed-loop reader fleet: each reader pins a version, asks about a

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <queue>
 #include <stdexcept>
 #include <unordered_set>
-
-#include "util/thread_pool.hpp"
 
 namespace rolediet::cluster {
 
@@ -225,66 +222,7 @@ void HnswIndex::add(std::size_t id) {
   // The viewed matrix may have grown since construction (live engine index).
   if (slot_of_id_.size() < points_.rows()) slot_of_id_.resize(points_.rows(), -1);
   if (slot_of_id_[id] != -1) throw std::invalid_argument("HnswIndex::add: id already indexed");
-  add_with_level(id, draw_level());
-}
-
-void HnswIndex::remove(std::size_t id) {
-  if (id >= slot_of_id_.size() || slot_of_id_[id] < 0)
-    throw std::out_of_range("HnswIndex::remove: id not indexed");
-  // Tombstone only: links and anchors stay, so the node keeps routing and
-  // layer-0 reachability of everything behind it is preserved.
-  nodes_[static_cast<std::size_t>(slot_of_id_[id])].deleted = true;
-}
-
-bool HnswIndex::contains(std::size_t id) const noexcept {
-  return id < slot_of_id_.size() && slot_of_id_[id] >= 0 &&
-         !nodes_[static_cast<std::size_t>(slot_of_id_[id])].deleted;
-}
-
-void HnswIndex::reinsert(std::size_t id) {
-  if (id >= slot_of_id_.size() || slot_of_id_[id] < 0)
-    throw std::out_of_range("HnswIndex::reinsert: id not indexed");
-  const auto slot = static_cast<std::uint32_t>(slot_of_id_[id]);
-  nodes_[slot].deleted = false;
-  if (nodes_.size() == 1) return;  // nothing to link against
-
-  // Same two-phase descent as add_with_level(), against the node's *new* row
-  // contents. The node is already in the graph, so the searches can (and
-  // usually do) find it — it must be dropped from the candidate lists before
-  // neighbor selection, or it would be its own nearest neighbor.
-  const int level = nodes_[slot].level;
-  const QueryRef q{static_cast<std::ptrdiff_t>(id), {}};
-  Neighbor entry{nodes_[static_cast<std::size_t>(entry_point_)].id,
-                 dist_to(q, nodes_[static_cast<std::size_t>(entry_point_)].id)};
-  for (int layer = max_level_; layer > level; --layer) {
-    entry = greedy_step(q, entry, layer);
-  }
-  for (int layer = std::min(level, max_level_); layer >= 0; --layer) {
-    std::vector<Neighbor> found = search_layer(q, entry, params_.ef_construction, layer);
-    entry = found.front();  // self (dist 0) is a fine descent entry
-    std::erase_if(found, [id](const Neighbor& nb) { return nb.id == id; });
-    if (found.empty()) continue;
-
-    // Append-and-dedupe instead of replacing: existing edges are still valid
-    // graph edges (stale ones are harmless — consumers verify distances
-    // exactly), and dropping them could orphan a neighbor whose only in-link
-    // we were. shrink_links() re-prunes by the new distances.
-    auto& my_links = nodes_[slot].links[static_cast<std::size_t>(layer)];
-    for (std::uint32_t nb_slot : select_neighbors(id, std::move(found), params_.m)) {
-      if (nb_slot == slot) continue;
-      if (std::find(my_links.begin(), my_links.end(), nb_slot) == my_links.end())
-        my_links.push_back(nb_slot);
-      auto& their_links = nodes_[nb_slot].links[static_cast<std::size_t>(layer)];
-      if (std::find(their_links.begin(), their_links.end(), slot) == their_links.end()) {
-        their_links.push_back(slot);
-        shrink_links(nb_slot, layer);
-      }
-    }
-    shrink_links(slot, layer);
-  }
-}
-
-void HnswIndex::add_with_level(std::size_t id, int level) {
+  const int level = draw_level();
   const auto slot = static_cast<std::uint32_t>(nodes_.size());
   Node node;
   node.id = id;
@@ -343,128 +281,67 @@ void HnswIndex::add_with_level(std::size_t id, int level) {
   }
 }
 
+void HnswIndex::remove(std::size_t id) {
+  if (id >= slot_of_id_.size() || slot_of_id_[id] < 0)
+    throw std::out_of_range("HnswIndex::remove: id not indexed");
+  // Tombstone only: links and anchors stay, so the node keeps routing and
+  // layer-0 reachability of everything behind it is preserved.
+  nodes_[static_cast<std::size_t>(slot_of_id_[id])].deleted = true;
+}
+
+bool HnswIndex::contains(std::size_t id) const noexcept {
+  return id < slot_of_id_.size() && slot_of_id_[id] >= 0 &&
+         !nodes_[static_cast<std::size_t>(slot_of_id_[id])].deleted;
+}
+
+void HnswIndex::reinsert(std::size_t id) {
+  if (id >= slot_of_id_.size() || slot_of_id_[id] < 0)
+    throw std::out_of_range("HnswIndex::reinsert: id not indexed");
+  const auto slot = static_cast<std::uint32_t>(slot_of_id_[id]);
+  nodes_[slot].deleted = false;
+  if (nodes_.size() == 1) return;  // nothing to link against
+
+  // Same two-phase descent as add(), against the node's *new* row
+  // contents. The node is already in the graph, so the searches can (and
+  // usually do) find it — it must be dropped from the candidate lists before
+  // neighbor selection, or it would be its own nearest neighbor.
+  const int level = nodes_[slot].level;
+  const QueryRef q{static_cast<std::ptrdiff_t>(id), {}};
+  Neighbor entry{nodes_[static_cast<std::size_t>(entry_point_)].id,
+                 dist_to(q, nodes_[static_cast<std::size_t>(entry_point_)].id)};
+  for (int layer = max_level_; layer > level; --layer) {
+    entry = greedy_step(q, entry, layer);
+  }
+  for (int layer = std::min(level, max_level_); layer >= 0; --layer) {
+    std::vector<Neighbor> found = search_layer(q, entry, params_.ef_construction, layer);
+    entry = found.front();  // self (dist 0) is a fine descent entry
+    std::erase_if(found, [id](const Neighbor& nb) { return nb.id == id; });
+    if (found.empty()) continue;
+
+    // Append-and-dedupe instead of replacing: existing edges are still valid
+    // graph edges (stale ones are harmless — consumers verify distances
+    // exactly), and dropping them could orphan a neighbor whose only in-link
+    // we were. shrink_links() re-prunes by the new distances.
+    auto& my_links = nodes_[slot].links[static_cast<std::size_t>(layer)];
+    for (std::uint32_t nb_slot : select_neighbors(id, std::move(found), params_.m)) {
+      if (nb_slot == slot) continue;
+      if (std::find(my_links.begin(), my_links.end(), nb_slot) == my_links.end())
+        my_links.push_back(nb_slot);
+      auto& their_links = nodes_[nb_slot].links[static_cast<std::size_t>(layer)];
+      if (std::find(their_links.begin(), their_links.end(), slot) == their_links.end()) {
+        their_links.push_back(slot);
+        shrink_links(nb_slot, layer);
+      }
+    }
+    shrink_links(slot, layer);
+  }
+}
+
+
 void HnswIndex::add_all(const util::ExecutionContext& ctx) {
   for (std::size_t id = 0; id < points_.rows(); ++id) {
     if (ctx.expired()) break;
     add(id);
-  }
-}
-
-void HnswIndex::add_all_parallel(std::size_t threads, std::size_t batch_size,
-                                 const util::ExecutionContext& ctx) {
-  if (!nodes_.empty())
-    throw std::invalid_argument("HnswIndex::add_all_parallel: index must be empty");
-  const std::size_t n = points_.rows();
-  if (n == 0) return;
-  batch_size = std::max<std::size_t>(1, batch_size);
-  util::Parallelism par(threads);
-
-  // Pre-draw every level in row order — the exact sequence add_all() draws.
-  std::vector<int> levels(n);
-  for (auto& level : levels) level = draw_level();
-
-  // Seed the graph so every batch has a snapshot entry point.
-  add_with_level(0, levels[0]);
-
-  // Per batch member: the neighbor slots selected against the snapshot.
-  struct Plan {
-    std::vector<std::vector<std::uint32_t>> selected;  // [layer] -> slots
-    std::uint32_t anchor_slot = 0;                     // nearest at layer 0
-  };
-
-  for (std::size_t next = 1; next < n; next += batch_size) {
-    if (ctx.expired()) break;  // stop at a batch boundary; the graph is valid
-    const std::size_t batch_end = std::min(n, next + batch_size);
-    const std::size_t batch = batch_end - next;
-    const int snapshot_max = max_level_;
-    const std::size_t snapshot_entry = nodes_[static_cast<std::size_t>(entry_point_)].id;
-
-    // Phase 1 — search: every member descends the frozen snapshot and picks
-    // its neighbors. Read-only on the graph, so members split freely.
-    std::vector<Plan> plans(batch);
-    par.parallel_for(
-        batch,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) {
-            const std::size_t id = next + k;
-            const int level = levels[id];
-            const QueryRef q{static_cast<std::ptrdiff_t>(id), {}};
-            Plan& plan = plans[k];
-            plan.selected.resize(static_cast<std::size_t>(std::min(level, snapshot_max)) + 1);
-
-            Neighbor entry{snapshot_entry, dist_to(q, snapshot_entry)};
-            for (int layer = snapshot_max; layer > level; --layer) {
-              entry = greedy_step(q, entry, layer);
-            }
-            for (int layer = std::min(level, snapshot_max); layer >= 0; --layer) {
-              std::vector<Neighbor> found =
-                  search_layer(q, entry, params_.ef_construction, layer);
-              entry = found.front();
-              plan.selected[static_cast<std::size_t>(layer)] =
-                  select_neighbors(id, found, params_.m);
-              if (layer == 0)
-                plan.anchor_slot = static_cast<std::uint32_t>(slot_of_id_[entry.id]);
-            }
-          }
-        },
-        /*grain=*/1);  // each member runs full beam searches — chunk finely
-
-    // Phase 2a — materialize the batch's nodes in row order (assigns slots;
-    // no link vector reallocates after this point).
-    int num_layers = 0;
-    for (std::size_t k = 0; k < batch; ++k) {
-      const std::size_t id = next + k;
-      Node node;
-      node.id = id;
-      node.level = levels[id];
-      node.links.resize(static_cast<std::size_t>(levels[id]) + 1);
-      slot_of_id_[id] = static_cast<std::int32_t>(nodes_.size());
-      nodes_.push_back(std::move(node));
-      num_layers = std::max(num_layers, static_cast<int>(plans[k].selected.size()));
-    }
-
-    // Phase 2b — link application, one worker per layer. Link lists at
-    // different layers are disjoint, and each layer's lock serializes all
-    // mutations of that layer (anchors belong to layer 0); within a layer,
-    // members apply in row order, so the result is independent of how the
-    // layers are distributed over threads.
-    std::vector<std::mutex> layer_locks(static_cast<std::size_t>(std::max(num_layers, 1)));
-    par.parallel_for(
-        static_cast<std::size_t>(num_layers),
-        [&](std::size_t layer_begin, std::size_t layer_end) {
-          for (std::size_t l = layer_begin; l < layer_end; ++l) {
-            std::scoped_lock lock(layer_locks[l]);
-            const int layer = static_cast<int>(l);
-            for (std::size_t k = 0; k < batch; ++k) {
-              Plan& plan = plans[k];
-              if (l >= plan.selected.size()) continue;
-              const auto slot = static_cast<std::uint32_t>(slot_of_id_[next + k]);
-              auto& my_links = nodes_[slot].links[l];
-              my_links = plan.selected[l];
-              if (layer == 0) {
-                // Spanning-tree anchor, exactly as in add().
-                nodes_[slot].anchors.push_back(plan.anchor_slot);
-                nodes_[plan.anchor_slot].anchors.push_back(slot);
-                if (std::find(my_links.begin(), my_links.end(), plan.anchor_slot) ==
-                    my_links.end())
-                  my_links.push_back(plan.anchor_slot);
-              }
-              for (std::uint32_t nb_slot : my_links) {
-                nodes_[nb_slot].links[l].push_back(slot);
-                shrink_links(nb_slot, layer);
-              }
-            }
-          }
-        },
-        /*grain=*/1);
-
-    // Phase 2c — entry-point promotion in row order, as add() would.
-    for (std::size_t k = 0; k < batch; ++k) {
-      if (levels[next + k] > max_level_) {
-        max_level_ = levels[next + k];
-        entry_point_ = slot_of_id_[next + k];
-      }
-    }
   }
 }
 

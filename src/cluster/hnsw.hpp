@@ -106,26 +106,6 @@ class HnswIndex {
   /// so far (searches simply cannot reach the missing rows).
   void add_all(const util::ExecutionContext& ctx = util::unlimited_context());
 
-  /// Batch-synchronous parallel construction over all rows (index must be
-  /// empty). Rows are inserted in fixed batches of `batch_size`; within a
-  /// batch, the searches and neighbor selections run concurrently against
-  /// the graph frozen at the batch boundary, then links are applied with one
-  /// worker per layer, each guarded by that layer's lock (link lists at
-  /// different layers are disjoint; within a layer, application follows row
-  /// order). Levels are pre-drawn in row order, so they match add_all()'s
-  /// draws exactly.
-  ///
-  /// Determinism: the graph depends only on (seed, batch_size) — never on
-  /// `threads` (knob convention in util/thread_pool.hpp) — so any two thread
-  /// counts build byte-identical indexes. It differs from add_all()'s graph,
-  /// though, because batch members do not see one another during search;
-  /// recall characteristics stay comparable (anchors still span the graph).
-  ///
-  /// `ctx` is checked once per batch; a cancelled build stops at the last
-  /// completed batch boundary and leaves a valid index over those rows.
-  void add_all_parallel(std::size_t threads, std::size_t batch_size = 64,
-                        const util::ExecutionContext& ctx = util::unlimited_context());
-
   /// Number of graph nodes, *including* tombstones.
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
 
@@ -233,10 +213,6 @@ class HnswIndex {
   [[nodiscard]] std::size_t layer_capacity(int layer) const noexcept {
     return layer == 0 ? 2 * params_.m : params_.m;
   }
-
-  /// add() with the level already drawn (the batched builder pre-draws all
-  /// levels in row order so they match the serial sequence).
-  void add_with_level(std::size_t id, int level);
 
   linalg::RowStore points_;  // non-owning view over the caller's matrix
   HnswParams params_;

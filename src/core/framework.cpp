@@ -30,7 +30,6 @@ std::unique_ptr<GroupFinder> make_group_finder(Method method, const GroupFinderO
     case Method::kApproxHnsw: {
       methods::HnswGroupFinder::Options opts;
       opts.threads = options.threads;
-      opts.build_batch = options.hnsw_build_batch;
       opts.backend = options.backend;
       return std::make_unique<methods::HnswGroupFinder>(opts);
     }

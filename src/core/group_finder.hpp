@@ -148,10 +148,6 @@ struct GroupFinderOptions {
   /// 0 = shared default pool, N >= 2 = private pool of N workers). Results
   /// are byte-identical for every value; only the wall clock changes.
   std::size_t threads = 1;
-  /// HNSW only: batch size for batch-synchronous parallel index construction
-  /// (see HnswIndex::add_all_parallel). 0 keeps the serial incremental build,
-  /// whose graph matches the single-threaded baseline exactly.
-  std::size_t hnsw_build_batch = 0;
   /// Row-kernel backend for the distance kernels (linalg/row_store.hpp):
   /// kAuto picks sparse below the density threshold. Groups, reports, and
   /// work counters are byte-identical for every choice; only the wall clock

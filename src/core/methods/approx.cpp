@@ -16,11 +16,7 @@ RoleGroups HnswGroupFinder::run(const linalg::CsrMatrix& matrix, std::size_t rad
   params.metric = metric;
   params.ef_search = std::max(params.ef_search, options_.query_ef);
   cluster::HnswIndex index(rows.store(), params);
-  if (options_.build_batch > 0) {
-    index.add_all_parallel(options_.threads, options_.build_batch, ctx);
-  } else {
-    index.add_all(ctx);
-  }
+  index.add_all(ctx);
 
   // Candidate generation: one HNSW range query per row (read-only searches,
   // so the candidate set is split-independent). Returned distances are exact,

@@ -27,14 +27,9 @@ class HnswGroupFinder final : public GroupFinder {
     /// the narrower beam skips); still approximate by construction.
     std::size_t query_ef = 128;
     /// Worker threads (knob convention in util/thread_pool.hpp) for the
-    /// query fan-out and, when build_batch > 0, for index construction.
-    /// Groups are byte-identical for every value of `threads` alone.
+    /// query fan-out; the index build is serial. Groups are byte-identical
+    /// for every value.
     std::size_t threads = 1;
-    /// 0 = serial incremental index build (the single-threaded baseline's
-    /// exact graph); N > 0 = batch-synchronous parallel build with batches
-    /// of N (HnswIndex::add_all_parallel — deterministic in N, not in
-    /// threads, but a different graph than the serial build).
-    std::size_t build_batch = 0;
     /// Row-kernel backend for index build and queries (linalg/row_store.hpp).
     /// Distances are backend-invariant, so the graph, groups, and work
     /// counters are byte-identical for every choice.

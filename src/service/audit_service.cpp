@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "util/timer.hpp"
@@ -114,32 +115,30 @@ ServiceOptions validate(ServiceOptions options) {
   return options;
 }
 
+/// Adds to a duration counter only the writer thread writes, so a relaxed
+/// load + store loses nothing.
+void add_seconds(std::atomic<double>& total, double seconds) {
+  total.store(total.load(std::memory_order_relaxed) + seconds, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 AuditService::AuditService(const std::filesystem::path& dir, const core::RbacDataset& baseline,
                            const core::AuditOptions& audit_options, ServiceOptions options,
                            store::StoreOptions store_options)
-    : options_(validate(options)), queue_(options_.max_queue) {
-  if (options_.shards == 0) {
-    flat_store_.emplace(store::EngineStore::create(dir, baseline, audit_options, store_options));
-  } else {
-    sharded_store_.emplace(store::ShardedEngineStore::create(dir, baseline, options_.shards,
-                                                             audit_options, store_options));
-  }
+    : options_(validate(options)),
+      store_(store::Store::create(dir, baseline, options_.shards, audit_options, store_options)),
+      queue_(options_.max_queue) {
   start_writer();
 }
 
 AuditService::AuditService(const std::filesystem::path& dir,
                            const core::AuditOptions& audit_options, ServiceOptions options,
                            store::StoreOptions store_options)
-    : options_(validate(options)), queue_(options_.max_queue) {
-  if (store::ShardedEngineStore::is_sharded_store(dir)) {
-    sharded_store_.emplace(store::ShardedEngineStore::open(dir, audit_options, store_options));
-    options_.shards = sharded_store_->num_shards();
-  } else {
-    flat_store_.emplace(store::EngineStore::open(dir, audit_options, store_options));
-    options_.shards = 0;
-  }
+    : options_(validate(options)),
+      store_(store::Store::open(dir, audit_options, store_options)),
+      queue_(options_.max_queue) {
+  options_.shards = store_.shards();
   start_writer();
 }
 
@@ -177,7 +176,7 @@ bool AuditService::try_submit(core::RbacDelta delta) {
   return true;
 }
 
-ReadSession AuditService::begin_read(std::optional<double> deadline_s) {
+ReadSession AuditService::begin_read(double deadline_s) {
   const std::size_t in_flight = readers_in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (in_flight >= options_.max_readers) {
     readers_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -185,12 +184,11 @@ ReadSession AuditService::begin_read(std::optional<double> deadline_s) {
     throw Overloaded("service: max in-flight readers reached");
   }
   stats_.reads_admitted.fetch_add(1, std::memory_order_relaxed);
-  return ReadSession(this, current_version(),
-                     deadline_s.value_or(options_.default_deadline_s));
+  return ReadSession(this, current_version(), deadline_s);
 }
 
 std::shared_ptr<const core::EngineVersion> AuditService::current_version() const {
-  return flat_store_ ? flat_store_->engine().published() : sharded_store_->engine().published();
+  return store_.published();
 }
 
 void AuditService::writer_loop() {
@@ -198,11 +196,7 @@ void AuditService::writer_loop() {
     core::RbacDelta delta;
     std::size_t since_reaudit = 0;
     while (queue_.pop(delta)) {
-      if (flat_store_) {
-        flat_store_->apply(delta);
-      } else {
-        sharded_store_->apply(delta);
-      }
+      store_.apply(delta);
       stats_.batches_applied.fetch_add(1, std::memory_order_relaxed);
       stats_.mutations_applied.fetch_add(delta.size(), std::memory_order_relaxed);
       if (++since_reaudit >= options_.reaudit_every) {
@@ -224,19 +218,12 @@ void AuditService::writer_loop() {
 void AuditService::run_reaudit() {
   util::Stopwatch watch;
   reaudit_in_flight_.store(true, std::memory_order_release);
-  if (flat_store_) {
-    (void)flat_store_->reaudit();
-  } else {
-    (void)sharded_store_->reaudit();
-  }
+  (void)store_.reaudit();
   reaudit_in_flight_.store(false, std::memory_order_release);
   const double seconds = watch.seconds();
   stats_.versions_published.fetch_add(1, std::memory_order_relaxed);
-  stats_.reaudit_seconds.store(stats_.reaudit_seconds.load(std::memory_order_relaxed) + seconds,
-                               std::memory_order_relaxed);
-  stats_.writer_stall_seconds.store(
-      stats_.writer_stall_seconds.load(std::memory_order_relaxed) + seconds,
-      std::memory_order_relaxed);
+  add_seconds(stats_.reaudit_seconds, seconds);
+  add_seconds(stats_.writer_stall_seconds, seconds);
   if (options_.checkpoint_every > 0 && ++reaudits_since_checkpoint_ >= options_.checkpoint_every) {
     run_checkpoint();
   }
@@ -247,20 +234,12 @@ void AuditService::run_checkpoint() {
   // Flat: snapshots the last *published* version at its publish-time WAL
   // position (engine_store.hpp). Sharded: freezes live rows — safe exactly
   // because this runs on the writer thread between batches.
-  if (flat_store_) {
-    (void)flat_store_->checkpoint();
-  } else {
-    (void)sharded_store_->checkpoint();
-  }
+  (void)store_.checkpoint();
   reaudits_since_checkpoint_ = 0;
   const double seconds = watch.seconds();
   stats_.checkpoints.fetch_add(1, std::memory_order_relaxed);
-  stats_.checkpoint_seconds.store(
-      stats_.checkpoint_seconds.load(std::memory_order_relaxed) + seconds,
-      std::memory_order_relaxed);
-  stats_.writer_stall_seconds.store(
-      stats_.writer_stall_seconds.load(std::memory_order_relaxed) + seconds,
-      std::memory_order_relaxed);
+  add_seconds(stats_.checkpoint_seconds, seconds);
+  add_seconds(stats_.writer_stall_seconds, seconds);
 }
 
 }  // namespace rolediet::service

@@ -1,8 +1,8 @@
 // AuditService — the serving layer over the durable store: one writer
 // thread, many snapshot-isolated readers.
 //
-// The engine/store stack underneath is strictly single-writer: AuditEngine,
-// ShardedEngine, EngineStore, and ShardedEngineStore all require every
+// The engine/store stack underneath is strictly single-writer: both engines
+// and both store layouts (held through store::Store) require every
 // mutation *and* every findings query to be serialized by the owner. That is
 // the right contract for a library, and the wrong one for a service — an
 // operator dashboard asking "which roles share this group?" must not wait
@@ -43,7 +43,6 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -51,8 +50,7 @@
 
 #include "core/engine_version.hpp"
 #include "core/framework.hpp"
-#include "store/engine_store.hpp"
-#include "store/sharded_store.hpp"
+#include "store/store.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/execution_context.hpp"
 
@@ -73,7 +71,7 @@ class DeadlineExpired : public std::runtime_error {
 };
 
 struct ServiceOptions {
-  /// 0 = flat EngineStore; N >= 1 = ShardedEngineStore with N shards.
+  /// 0 = flat store layout; N >= 1 = sharded layout with N shards.
   std::size_t shards = 0;
   /// Delta batches between reaudits (>= 1). Lower = fresher versions,
   /// higher = more writer throughput.
@@ -85,8 +83,6 @@ struct ServiceOptions {
   std::size_t max_queue = 64;
   /// Max concurrent ReadSessions before begin_read() rejects.
   std::size_t max_readers = 64;
-  /// Default per-session deadline, seconds; 0 = unlimited.
-  double default_deadline_s = 0.0;
 };
 
 /// Monotone service counters. Readable from any thread at any time; the
@@ -213,10 +209,9 @@ class AuditService {
 
   /// Admits a read request: pins the current published version and returns
   /// the session. Throws Overloaded when max_readers sessions are already in
-  /// flight. `deadline_s` overrides options().default_deadline_s (0 =
-  /// unlimited). Lock-free on the version pin; the admission counter is one
-  /// atomic RMW.
-  [[nodiscard]] ReadSession begin_read(std::optional<double> deadline_s = std::nullopt);
+  /// flight. `deadline_s` bounds the session (0 = unlimited). Lock-free on
+  /// the version pin; the admission counter is one atomic RMW.
+  [[nodiscard]] ReadSession begin_read(double deadline_s = 0.0);
 
   /// The current published version without admission (monitoring use; never
   /// null once the constructor returned).
@@ -232,7 +227,6 @@ class AuditService {
   [[nodiscard]] const ServiceStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ServiceOptions& options() const noexcept { return options_; }
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
-  [[nodiscard]] bool sharded() const noexcept { return sharded_store_.has_value(); }
 
  private:
   friend class ReadSession;
@@ -244,12 +238,10 @@ class AuditService {
   void release_reader() noexcept { readers_in_flight_.fetch_sub(1, std::memory_order_acq_rel); }
 
   ServiceOptions options_;
-  /// Exactly one of the two stores is engaged (flat when options_.shards ==
-  /// 0). Both are owned by the writer thread after construction; the only
-  /// cross-thread access is the spin-locked published-version slot
+  /// Owned by the writer thread after construction; the only cross-thread
+  /// access is store_.published(), the spin-locked published-version slot
   /// (core/engine_version.hpp — the critical section is one pointer copy).
-  std::optional<store::EngineStore> flat_store_;
-  std::optional<store::ShardedEngineStore> sharded_store_;
+  store::Store store_;
 
   util::BoundedQueue<core::RbacDelta> queue_;
   std::thread writer_;

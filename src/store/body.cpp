@@ -7,9 +7,9 @@
 
 #include <cerrno>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/digest.hpp"
 
@@ -25,24 +25,12 @@ static_assert(sizeof(core::Id) == sizeof(std::uint32_t));
 constexpr char kBodyMagic[8] = {'R', 'D', 'B', 'O', 'D', 'Y', '1', '\0'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 5 * 8;  // 56, already 8-aligned
 
-void append_bytes(std::vector<char>& out, const void* data, std::size_t size) {
-  const char* p = static_cast<const char*>(data);
-  out.insert(out.end(), p, p + size);
-}
-
-void append_u32(std::vector<char>& out, std::uint32_t v) { append_bytes(out, &v, sizeof(v)); }
-void append_u64(std::vector<char>& out, std::uint64_t v) { append_bytes(out, &v, sizeof(v)); }
-
 [[noreturn]] void fail(const std::string& what) { throw BodyError("body: " + what); }
 
-[[nodiscard]] std::uint64_t read_u64(const char* p) noexcept {
-  std::uint64_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-[[nodiscard]] std::uint32_t read_u32(const char* p) noexcept {
-  std::uint32_t v = 0;
+/// A host-endian field of the mapping (unaligned-safe).
+template <typename T>
+[[nodiscard]] T load(const char* p) noexcept {
+  T v{};
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
@@ -54,20 +42,6 @@ void check_axis(const BodyAxisData& axis, std::size_t roles) {
   }
 }
 
-void fsync_fd(int fd, const std::filesystem::path& path) {
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    fail("fsync " + path.string() + ": " + std::strerror(err));
-  }
-}
-
-void fsync_dir(const std::filesystem::path& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;  // best effort; rename already happened
-  ::fsync(fd);
-  ::close(fd);
-}
-
 }  // namespace
 
 void write_body_file(const std::filesystem::path& path, std::span<const core::Id> roles,
@@ -75,50 +49,33 @@ void write_body_file(const std::filesystem::path& path, std::span<const core::Id
   check_axis(users, roles.size());
   check_axis(perms, roles.size());
 
-  std::vector<char> buf;
-  const std::size_t k = roles.size();
-  buf.reserve(kHeaderBytes + (k + 1) * 16 + k * 4 +
-              (users.cols_idx.size() + perms.cols_idx.size()) * 4 + 16);
-  append_bytes(buf, kBodyMagic, sizeof(kBodyMagic));
-  append_u32(buf, kBodyFormatVersion);
-  append_u32(buf, 2);
-  append_u64(buf, k);
-  append_u64(buf, users.cols);
-  append_u64(buf, users.cols_idx.size());
-  append_u64(buf, perms.cols);
-  append_u64(buf, perms.cols_idx.size());
-  for (const std::size_t v : users.row_ptr) append_u64(buf, v);
-  for (const std::size_t v : perms.row_ptr) append_u64(buf, v);
-  append_bytes(buf, roles.data(), roles.size_bytes());
-  append_bytes(buf, users.cols_idx.data(), users.cols_idx.size_bytes());
-  append_bytes(buf, perms.cols_idx.data(), perms.cols_idx.size_bytes());
-  while (buf.size() % 8 != 0) buf.push_back(0);
-  core::ContentDigest digest;
-  digest.bytes(buf.data(), buf.size());
-  append_u64(buf, digest.value());
-
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    const int err = errno;
-    fail("open " + tmp.string() + ": " + std::strerror(err));
-  }
-  std::size_t written = 0;
-  while (written < buf.size()) {
-    const ::ssize_t n = ::write(fd, buf.data() + written, buf.size() - written);
-    if (n < 0) {
-      const int err = errno;
-      ::close(fd);
-      fail("write " + tmp.string() + ": " + std::strerror(err));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  fsync_fd(fd, tmp);
-  ::close(fd);
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) fail("rename " + tmp.string() + " -> " + path.string() + ": " + ec.message());
-  fsync_dir(path.parent_path());
+  write_file_atomic(path, [&](std::ostream& out) {
+    // Host-endian fields, streamed with a running digest of every byte.
+    core::ContentDigest digest;
+    std::uint64_t written = 0;
+    const auto put = [&](const void* data, std::size_t size) {
+      out.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
+      digest.bytes(data, size);
+      written += size;
+    };
+    const auto put_u64 = [&](std::uint64_t v) { put(&v, sizeof(v)); };
+    const std::uint32_t header[2] = {kBodyFormatVersion, 2};
+    put(kBodyMagic, sizeof(kBodyMagic));
+    put(header, sizeof(header));
+    put_u64(roles.size());
+    put_u64(users.cols);
+    put_u64(users.cols_idx.size());
+    put_u64(perms.cols);
+    put_u64(perms.cols_idx.size());
+    put(users.row_ptr.data(), users.row_ptr.size_bytes());
+    put(perms.row_ptr.data(), perms.row_ptr.size_bytes());
+    put(roles.data(), roles.size_bytes());
+    put(users.cols_idx.data(), users.cols_idx.size_bytes());
+    put(perms.cols_idx.data(), perms.cols_idx.size_bytes());
+    while (written % 8 != 0) put("\0", 1);
+    const std::uint64_t value = digest.value();
+    out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  });
 }
 
 MmapBody::MmapBody(const std::filesystem::path& path) {
@@ -145,33 +102,26 @@ MmapBody::MmapBody(const std::filesystem::path& path) {
     fail("mmap " + path.string());
   }
 
+  const auto reject = [&](const std::string& what) {
+    unmap();
+    fail(what + " in " + path.string());
+  };
   const char* base = static_cast<const char*>(map_);
-  if (std::memcmp(base, kBodyMagic, sizeof(kBodyMagic)) != 0) {
-    unmap();
-    fail("bad magic in " + path.string());
-  }
-  if (read_u32(base + 8) != kBodyFormatVersion || read_u32(base + 12) != 2) {
-    unmap();
-    fail("unsupported body format in " + path.string());
-  }
-  const std::uint64_t k = read_u64(base + 16);
-  const std::uint64_t users_cols = read_u64(base + 24);
-  const std::uint64_t users_nnz = read_u64(base + 32);
-  const std::uint64_t perms_cols = read_u64(base + 40);
-  const std::uint64_t perms_nnz = read_u64(base + 48);
+  if (std::memcmp(base, kBodyMagic, sizeof(kBodyMagic)) != 0) reject("bad magic");
+  if (load<std::uint32_t>(base + 8) != kBodyFormatVersion || load<std::uint32_t>(base + 12) != 2)
+    reject("unsupported body format");
+  const std::uint64_t k = load<std::uint64_t>(base + 16);
+  const std::uint64_t users_cols = load<std::uint64_t>(base + 24);
+  const std::uint64_t users_nnz = load<std::uint64_t>(base + 32);
+  const std::uint64_t perms_cols = load<std::uint64_t>(base + 40);
+  const std::uint64_t perms_nnz = load<std::uint64_t>(base + 48);
 
   std::size_t payload = kHeaderBytes + (k + 1) * 16 + k * 4 + (users_nnz + perms_nnz) * 4;
   payload = (payload + 7) / 8 * 8;
-  if (payload + 8 != map_size_) {
-    unmap();
-    fail("size mismatch in " + path.string());
-  }
+  if (payload + 8 != map_size_) reject("size mismatch");
   core::ContentDigest digest;
   digest.bytes(base, payload);
-  if (digest.value() != read_u64(base + payload)) {
-    unmap();
-    fail("checksum mismatch in " + path.string());
-  }
+  if (digest.value() != load<std::uint64_t>(base + payload)) reject("checksum mismatch");
 
   const auto* users_ptr = reinterpret_cast<const std::size_t*>(base + kHeaderBytes);
   const auto* perms_ptr = users_ptr + (k + 1);
@@ -189,15 +139,10 @@ MmapBody::MmapBody(const std::filesystem::path& path) {
     }
     return true;
   };
-  if (!check_ptrs(users_ptr, users_nnz) || !check_ptrs(perms_ptr, perms_nnz)) {
-    unmap();
-    fail("bad row pointers in " + path.string());
-  }
+  if (!check_ptrs(users_ptr, users_nnz) || !check_ptrs(perms_ptr, perms_nnz))
+    reject("bad row pointers");
   for (std::uint64_t i = 1; i < k; ++i) {
-    if (roles_ptr[i] <= roles_ptr[i - 1]) {
-      unmap();
-      fail("role ids not increasing in " + path.string());
-    }
+    if (roles_ptr[i] <= roles_ptr[i - 1]) reject("role ids not increasing");
   }
 
   roles_ = {roles_ptr, static_cast<std::size_t>(k)};
@@ -228,17 +173,5 @@ MmapBody::MmapBody(MmapBody&& other) noexcept
       roles_(std::exchange(other.roles_, {})),
       users_(std::exchange(other.users_, {})),
       perms_(std::exchange(other.perms_, {})) {}
-
-MmapBody& MmapBody::operator=(MmapBody&& other) noexcept {
-  if (this != &other) {
-    unmap();
-    map_ = std::exchange(other.map_, nullptr);
-    map_size_ = std::exchange(other.map_size_, 0);
-    roles_ = std::exchange(other.roles_, {});
-    users_ = std::exchange(other.users_, {});
-    perms_ = std::exchange(other.perms_, {});
-  }
-  return *this;
-}
 
 }  // namespace rolediet::store

@@ -24,26 +24,26 @@
 //   pad to 8
 //   u64      FNV-1a digest of every preceding byte
 //
-// write_body_file() writes tmp + fsync + rename (atomic replace); MmapBody
-// validates magic, version, size arithmetic, row_ptr framing, and the
-// trailing digest before exposing any span.
+// write_body_file() streams the layout through store/file_io.hpp's atomic
+// replace; MmapBody validates magic, version, size arithmetic, row_ptr
+// framing, and the trailing digest before exposing any span.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <span>
-#include <stdexcept>
 
 #include "core/model.hpp"
 #include "linalg/csr_matrix.hpp"
+#include "store/file_io.hpp"
 
 namespace rolediet::store {
 
 inline constexpr std::uint32_t kBodyFormatVersion = 1;
 
-class BodyError : public std::runtime_error {
+class BodyError : public StoreError {
  public:
-  using std::runtime_error::runtime_error;
+  using StoreError::StoreError;
 };
 
 /// One axis of a shard as the writer consumes it.
@@ -53,8 +53,8 @@ struct BodyAxisData {
   std::uint64_t cols = 0;                ///< axis entity count at checkpoint
 };
 
-/// Writes the body atomically (tmp + fsync + rename + dir fsync). Throws
-/// BodyError on I/O failure or inconsistent inputs.
+/// Writes the body atomically (write_file_atomic). Throws BodyError on
+/// inconsistent inputs, StoreError on I/O failure.
 void write_body_file(const std::filesystem::path& path, std::span<const core::Id> roles,
                      const BodyAxisData& users, const BodyAxisData& perms);
 
@@ -65,7 +65,6 @@ class MmapBody {
   explicit MmapBody(const std::filesystem::path& path);
   ~MmapBody();
   MmapBody(MmapBody&& other) noexcept;
-  MmapBody& operator=(MmapBody&& other) noexcept;
   MmapBody(const MmapBody&) = delete;
   MmapBody& operator=(const MmapBody&) = delete;
 

@@ -12,18 +12,15 @@ namespace rolediet::store {
 
 namespace fs = std::filesystem;
 
+/// Snapshots checkpoint() retains: the newest plus one fallback.
+constexpr std::size_t kKeepSnapshots = 2;
+
 EngineStore::EngineStore(fs::path dir, StoreOptions store_options)
-    : dir_(std::move(dir)),
-      store_options_(store_options),
-      wal_(dir_, store_options.fsync, store_options.wal_segment_bytes) {}
+    : dir_(std::move(dir)), wal_(dir_, store_options.fsync, kWalSegmentBytes) {}
 
 EngineStore EngineStore::create(const fs::path& dir, const core::RbacDataset& dataset,
                                 const core::AuditOptions& options, StoreOptions store_options) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) throw StoreError("store: cannot create directory " + dir.string() + ": " + ec.message());
-  if (!list_snapshots(dir).empty() || !list_wal_segments(dir).empty())
-    throw StoreError("store: " + dir.string() + " already holds a store");
+  create_store_dir(dir);
 
   EngineStore store(dir, store_options);
   store.engine_ = std::make_unique<core::AuditEngine>(dataset, options);
@@ -74,92 +71,30 @@ EngineStore EngineStore::open(const fs::path& dir, const core::AuditOptions& opt
     throw StoreError("store: snapshot state does not fit its dataset: " + std::string(e.what()));
   }
 
-  // 3. Scan the WAL in segment order, replaying records >= n0. Damage is
-  // only survivable at the very tail of the log.
-  const std::vector<fs::path> segments = list_wal_segments(dir);
+  // 3. Replay WAL records >= n0 (recover_log repairs the log tail), freeing
+  // each payload once parsed so the log and the batch are not both resident.
+  RecoveredLog log = recover_log(dir, n0, store.recovery_);
   core::RbacDelta replay;
-  std::optional<std::uint64_t> expected;
-  std::optional<fs::path> resume;
-  std::uint64_t resume_offset = 0;
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const bool last = i + 1 == segments.size();
-    std::unique_ptr<WalSegmentReader> reader;
+  replay.mutations.reserve(log.records.size());
+  for (std::size_t i = 0; i < log.records.size(); ++i) {
     try {
-      reader = std::make_unique<WalSegmentReader>(segments[i]);
-    } catch (const WalTornHeader& e) {
-      if (!last) throw StoreError("store: WAL damage before the log tail: " + std::string(e.what()));
-      // Crash during segment creation: the segment holds nothing committed.
-      std::error_code ec;
-      fs::remove(segments[i], ec);
-      if (ec)
-        throw StoreError("store: cannot drop torn segment " + segments[i].string() + ": " +
-                         ec.message());
-      store.recovery_.dropped_torn_segment = true;
-      break;
-    } catch (const WalError& e) {
-      throw StoreError("store: " + std::string(e.what()));
+      replay.mutations.push_back(
+          io::parse_journal_record(std::exchange(log.records[i].payload, {})));
+    } catch (const io::CsvError& e) {
+      // CRC-valid but unparseable payload: not a torn write, real damage.
+      throw StoreError("store: corrupt WAL record " + std::to_string(n0 + i) + ": " +
+                       std::string(e.what()));
     }
-
-    if (expected && reader->start_record() != *expected) {
-      throw StoreError("store: WAL gap: segment " + segments[i].string() +
-                       " starts at record " + std::to_string(reader->start_record()) +
-                       ", expected " + std::to_string(*expected));
-    }
-    if (!expected && reader->start_record() > n0) {
-      throw StoreError("store: WAL is missing records " + std::to_string(n0) + ".." +
-                       std::to_string(reader->start_record()) + " needed by snapshot " +
-                       store.recovery_.snapshot_path.string());
-    }
-
-    std::string payload;
-    while (true) {
-      try {
-        if (!reader->next(payload)) break;
-      } catch (const WalTornTail& e) {
-        if (!last)
-          throw StoreError("store: WAL damage before the log tail: " + std::string(e.what()));
-        // Crash mid-append: discard the torn bytes so the next append
-        // continues from the last committed record boundary.
-        std::error_code ec;
-        const std::uintmax_t size = fs::file_size(segments[i], ec);
-        if (!ec) fs::resize_file(segments[i], reader->offset(), ec);
-        if (ec)
-          throw StoreError("store: cannot truncate torn tail of " + segments[i].string() + ": " +
-                           ec.message());
-        store.recovery_.truncated_bytes = size - reader->offset();
-        break;
-      }
-      if (reader->record_index() - 1 >= n0) {
-        try {
-          replay.mutations.push_back(io::parse_journal_record(payload));
-        } catch (const io::CsvError& e) {
-          // CRC-valid but unparseable payload: not a torn write, real damage.
-          throw StoreError("store: corrupt WAL record " +
-                           std::to_string(reader->record_index() - 1) + ": " +
-                           std::string(e.what()));
-        }
-      }
-    }
-    expected = reader->record_index();
-    resume = segments[i];
-    resume_offset = reader->offset();
   }
-
-  const std::uint64_t log_end = expected.value_or(n0);
   // Under FsyncPolicy::kNone the snapshot can be ahead of the surviving log;
   // the snapshot is authoritative (its records were applied by definition).
-  const std::uint64_t total = std::max(n0, log_end);
+  const std::uint64_t total = std::max(n0, log.end);
   if (!replay.empty()) store.engine_->apply(replay);
   store.recovery_.replayed_records = replay.size();
   store.recovery_.total_records = total;
 
-  // 4. Reopen for appending: continue the last surviving segment when it
-  // ends exactly at the committed record count, else start a fresh one.
-  if (resume && log_end == total) {
-    store.wal_.start(total, resume, resume_offset);
-  } else {
-    store.wal_.start(total, std::nullopt, 0);
-  }
+  // 4. Reopen for appending where the surviving log ends.
+  store.wal_.start(total, log);
   return store;
 }
 
@@ -185,21 +120,15 @@ fs::path EngineStore::checkpoint() {
   wal_.sync();
   const std::shared_ptr<const core::EngineVersion> version = engine_->published();
   const std::uint64_t records = version ? published_records_ : wal_.next_record();
-  fs::path path;
-  try {
-    path = SnapshotWriter(dir_).write(version
-                                          ? capture_snapshot(*version, engine_->options(), records)
-                                          : capture_snapshot(*engine_, records));
-  } catch (const SnapshotError& e) {
-    throw StoreError("store: checkpoint failed: " + std::string(e.what()));
-  }
+  const fs::path path = SnapshotWriter(dir_).write(
+      version ? capture_snapshot(*version, engine_->options(), records)
+              : capture_snapshot(*engine_, records));
   wal_.rotate();
 
-  // Retention: keep the newest keep_snapshots snapshots and every WAL
+  // Retention: keep the newest kKeepSnapshots snapshots and every WAL
   // segment the oldest kept one still needs for replay.
   const std::vector<fs::path> snaps = list_snapshots(dir_);
-  const std::size_t keep = std::max<std::size_t>(1, store_options_.keep_snapshots);
-  const std::size_t drop = snaps.size() > keep ? snaps.size() - keep : 0;
+  const std::size_t drop = snaps.size() > kKeepSnapshots ? snaps.size() - kKeepSnapshots : 0;
   for (std::size_t i = 0; i < drop; ++i) {
     std::error_code ec;
     fs::remove(snaps[i], ec);

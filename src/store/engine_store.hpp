@@ -17,11 +17,9 @@
 //   2. build an AuditEngine from its dataset and restore the persistent
 //      state (counters, dirty frontier, pair caches; caches are dropped when
 //      the requested audit options' fingerprint differs);
-//   3. replay WAL records >= N through AuditEngine::apply(), verifying
-//      segment contiguity. A torn final record (crash mid-append) is
-//      truncated away; a torn-header final segment (crash mid-creation)
-//      is deleted; the same damage anywhere but the log tail is corruption
-//      and fails the open.
+//   3. replay WAL records >= N through AuditEngine::apply(); recover_log
+//      (wal.hpp) repairs crash damage at the log tail and refuses any
+//      elsewhere.
 //
 // The recovered engine is then bit-for-bit the engine a clean process would
 // have after applying the same committed prefix — the fault-injection suite
@@ -32,7 +30,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <stdexcept>
 
 #include "core/engine.hpp"
 #include "core/framework.hpp"
@@ -41,38 +38,27 @@
 
 namespace rolediet::store {
 
-class StoreError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 struct StoreOptions {
   FsyncPolicy fsync = FsyncPolicy::kEveryBatch;
-  /// Rotation threshold for WAL segments.
-  std::size_t wal_segment_bytes = 4u << 20;
-  /// Snapshots retained by checkpoint(); >= 2 keeps a fallback for a corrupt
-  /// newest snapshot. Values below 1 are treated as 1.
-  std::size_t keep_snapshots = 2;
 };
 
 /// What open() had to do to bring the store back — surfaced so callers (the
 /// CLI `recover` command, tests) can report and assert on it.
-struct RecoveryInfo {
+struct RecoveryInfo : TailRepair {
   std::filesystem::path snapshot_path;  ///< snapshot the engine was built from
   std::uint64_t snapshot_records = 0;   ///< WAL records baked into it
   std::uint64_t replayed_records = 0;   ///< WAL records replayed on top
   std::uint64_t total_records = 0;      ///< committed records after recovery
-  std::uint64_t truncated_bytes = 0;    ///< torn-tail bytes discarded
-  bool dropped_torn_segment = false;    ///< torn-header final segment deleted
   bool used_fallback_snapshot = false;  ///< newest snapshot was invalid
   bool caches_dropped = false;          ///< option fingerprint mismatch
 };
 
 class EngineStore {
  public:
-  /// Initializes `dir` (created if missing, must not already hold a store)
-  /// with the dataset's baseline snapshot at record 0 and an empty first WAL
-  /// segment. Throws StoreError on an existing store or I/O failure.
+  /// Initializes `dir` (created if missing, must not already hold a store of
+  /// either layout) with the dataset's baseline snapshot at record 0 and an
+  /// empty first WAL segment. Throws StoreError on an existing store or I/O
+  /// failure.
   [[nodiscard]] static EngineStore create(const std::filesystem::path& dir,
                                           const core::RbacDataset& dataset,
                                           const core::AuditOptions& options,
@@ -105,7 +91,9 @@ class EngineStore {
   core::AuditReport reaudit();
 
   /// Writes an atomic snapshot, rotates the log, and prunes snapshots /
-  /// segments no retained snapshot needs. Returns the snapshot path. On
+  /// segments no retained snapshot needs: two snapshots are kept, so a
+  /// corrupt newest one falls back to its predecessor. Returns the snapshot
+  /// path. On
   /// failure the store is still readable from the previous snapshot (nothing
   /// is pruned before the new snapshot is durable).
   ///
@@ -133,13 +121,11 @@ class EngineStore {
   [[nodiscard]] std::uint64_t published_records() const noexcept { return published_records_; }
 
   [[nodiscard]] const RecoveryInfo& recovery() const noexcept { return recovery_; }
-  [[nodiscard]] const std::filesystem::path& dir() const noexcept { return dir_; }
 
  private:
   EngineStore(std::filesystem::path dir, StoreOptions store_options);
 
   std::filesystem::path dir_;
-  StoreOptions store_options_;
   std::unique_ptr<core::AuditEngine> engine_;  // heap-held: stable address across store moves
   Wal wal_;
   RecoveryInfo recovery_;

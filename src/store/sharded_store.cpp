@@ -1,21 +1,17 @@
 #include "store/sharded_store.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <cstring>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <utility>
 
-#include "core/digest.hpp"
-#include "store/snapshot.hpp"
+#include "io/binary.hpp"
 
 namespace rolediet::store {
 
@@ -32,124 +28,64 @@ constexpr std::uint32_t kNamesFormatVersion = 1;
 
 // ------------------------------------------------------------- file naming --
 
-[[nodiscard]] std::string generation_suffix(std::uint64_t id) {
-  std::string digits = std::to_string(id);
-  return std::string(20 - std::min<std::size_t>(20, digits.size()), '0') + digits;
-}
-
 [[nodiscard]] std::string shard_dir_name(std::size_t s) {
   std::string digits = std::to_string(s);
   return "shard-" + std::string(3 - std::min<std::size_t>(3, digits.size()), '0') + digits;
 }
 
-[[nodiscard]] fs::path manifest_path(const fs::path& dir) { return dir / "MANIFEST"; }
+[[nodiscard]] fs::path manifest_path(const fs::path& dir) { return dir / kManifestFile; }
 
 [[nodiscard]] fs::path names_path(const fs::path& dir, std::uint64_t id) {
-  return dir / ("names-" + generation_suffix(id) + ".rdnames");
+  return dir / kNamesFiles.name(id);
 }
 
 [[nodiscard]] fs::path body_path(const fs::path& dir, std::size_t s, std::uint64_t id) {
-  return dir / shard_dir_name(s) / ("body-" + generation_suffix(id) + ".rdbody");
-}
-
-// --------------------------------------------------- little-endian buffers --
-
-void append_bytes(std::vector<char>& out, const void* data, std::size_t size) {
-  const char* p = static_cast<const char*>(data);
-  out.insert(out.end(), p, p + size);
-}
-
-void append_u32(std::vector<char>& out, std::uint32_t v) { append_bytes(out, &v, sizeof(v)); }
-void append_u64(std::vector<char>& out, std::uint64_t v) { append_bytes(out, &v, sizeof(v)); }
-
-void append_str(std::vector<char>& out, const std::string& s) {
-  append_u64(out, s.size());
-  append_bytes(out, s.data(), s.size());
-}
-
-/// Sequential reader over a digest-verified buffer; every accessor throws
-/// StoreError past the end, so malformed files cannot walk out of bounds.
-struct Cursor {
-  const char* p;
-  const char* end;
-  std::string what;
-
-  void need(std::size_t n) const {
-    if (static_cast<std::size_t>(end - p) < n) fail("truncated " + what);
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    std::memcpy(&v, p, sizeof(v));
-    p += 4;
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    std::memcpy(&v, p, sizeof(v));
-    p += 8;
-    return v;
-  }
-  [[nodiscard]] std::string str() {
-    const std::uint64_t len = u64();
-    need(len);
-    std::string s(p, len);
-    p += len;
-    return s;
-  }
-};
-
-/// tmp + fsync + rename, the same atomic-replace dance body.cpp does.
-void write_file_atomic(const fs::path& path, const std::vector<char>& buf) {
-  const fs::path tmp = path.string() + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) fail("open " + tmp.string() + ": " + std::strerror(errno));
-  std::size_t written = 0;
-  while (written < buf.size()) {
-    const ::ssize_t n = ::write(fd, buf.data() + written, buf.size() - written);
-    if (n < 0) {
-      const int err = errno;
-      ::close(fd);
-      fail("write " + tmp.string() + ": " + std::strerror(err));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    fail("fsync " + tmp.string() + ": " + std::strerror(err));
-  }
-  ::close(fd);
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) fail("rename " + tmp.string() + " -> " + path.string() + ": " + ec.message());
-  const int dir_fd = ::open(path.parent_path().c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
-}
-
-/// Reads the whole file, verifies the trailing FNV digest, and returns the
-/// payload bytes (digest stripped).
-[[nodiscard]] std::vector<char> read_digested_file(const fs::path& path, const char* what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(std::string("cannot open ") + what + " " + path.string());
-  std::vector<char> buf((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (buf.size() < 8) fail(std::string("truncated ") + what + " " + path.string());
-  core::ContentDigest digest;
-  digest.bytes(buf.data(), buf.size() - 8);
-  std::uint64_t recorded = 0;
-  std::memcpy(&recorded, buf.data() + buf.size() - 8, 8);
-  if (digest.value() != recorded) {
-    fail(std::string("checksum mismatch in ") + what + " " + path.string());
-  }
-  buf.resize(buf.size() - 8);
-  return buf;
+  return dir / shard_dir_name(s) / kBodyFiles.name(id);
 }
 
 // ------------------------------------------------------- manifest + names --
+
+// Both files are io::BinaryWriter output with the magic fed to the digest:
+// little-endian fields, u64 length prefixes, and a trailing FNV-1a digest of
+// every preceding byte.
+
+/// Parses a MANIFEST or names file with `parse` once its trailing digest has
+/// checked out: no count read from the file sizes an allocation or bounds a
+/// loop before the file is known intact.
+template <typename Parse>
+auto read_checked(const fs::path& path, const std::string& what, Parse parse) {
+  std::ifstream file(path, std::ios::binary);
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (!file || ec || size < 8) fail("cannot read " + what + " " + path.string());
+  std::string bytes(size - 8, '\0');
+  try {
+    io::BinaryReader check(file);
+    check.payload(bytes.data(), bytes.size());
+    check.verify_digest();
+  } catch (const io::BinaryError&) {
+    fail("checksum mismatch in " + what + " " + path.string());
+  }
+  std::istringstream in(std::move(bytes));
+  io::BinaryReader r(in);
+  try {
+    auto parsed = parse(r, size - 8);
+    if (in.peek() != std::char_traits<char>::eof())
+      fail("trailing bytes in " + what + " " + path.string());
+    return parsed;
+  } catch (const io::BinaryError&) {
+    fail("truncated " + what + " " + path.string());
+  }
+}
+
+/// Reads and checks an 8-byte magic plus a u32 format version.
+void expect_header(io::BinaryReader& r, const char (&magic)[8], std::uint32_t version,
+                   const std::string& what) {
+  char found[8];
+  r.raw(found, sizeof(found));
+  if (std::memcmp(found, magic, sizeof(found)) != 0) fail("bad magic in " + what);
+  if (r.u32() != version) fail("unsupported format in " + what);
+}
 
 struct Manifest {
   std::uint32_t shards = 0;
@@ -165,53 +101,34 @@ struct Manifest {
 };
 
 void write_manifest(const fs::path& dir, const Manifest& m) {
-  std::vector<char> buf;
-  append_bytes(buf, kManifestMagic, sizeof(kManifestMagic));
-  append_u32(buf, kManifestFormatVersion);
-  append_u32(buf, m.shards);
-  append_u64(buf, m.initial_roles);
-  append_u64(buf, m.checkpoint_id);
-  append_u64(buf, m.engine_version);
-  append_u64(buf, m.audits);
-  append_u64(buf, m.num_users);
-  append_u64(buf, m.num_roles);
-  append_u64(buf, m.num_perms);
-  append_u64(buf, m.coord_records);
-  for (const std::uint64_t n : m.shard_records) append_u64(buf, n);
-  core::ContentDigest digest;
-  digest.bytes(buf.data(), buf.size());
-  append_u64(buf, digest.value());
-  write_file_atomic(manifest_path(dir), buf);
+  write_file_atomic(manifest_path(dir), [&](std::ostream& out) {
+    io::BinaryWriter w(out);
+    w.payload(kManifestMagic, sizeof(kManifestMagic));
+    w.u32(kManifestFormatVersion);
+    w.u32(m.shards);
+    for (const std::uint64_t v : {m.initial_roles, m.checkpoint_id, m.engine_version, m.audits,
+                                  m.num_users, m.num_roles, m.num_perms, m.coord_records})
+      w.u64(v);
+    for (const std::uint64_t n : m.shard_records) w.u64(n);
+    w.finish();
+  });
 }
 
 [[nodiscard]] Manifest read_manifest(const fs::path& dir) {
   const fs::path path = manifest_path(dir);
   if (!fs::is_regular_file(path)) fail("no manifest in " + dir.string());
-  const std::vector<char> buf = read_digested_file(path, "manifest");
-  Cursor cur{buf.data(), buf.data() + buf.size(), "manifest " + path.string()};
-  cur.need(sizeof(kManifestMagic));
-  if (std::memcmp(cur.p, kManifestMagic, sizeof(kManifestMagic)) != 0) {
-    fail("bad magic in manifest " + path.string());
-  }
-  cur.p += sizeof(kManifestMagic);
-  if (cur.u32() != kManifestFormatVersion) {
-    fail("unsupported manifest format in " + path.string());
-  }
-  Manifest m;
-  m.shards = cur.u32();
-  if (m.shards == 0) fail("manifest names zero shards in " + path.string());
-  m.initial_roles = cur.u64();
-  m.checkpoint_id = cur.u64();
-  m.engine_version = cur.u64();
-  m.audits = cur.u64();
-  m.num_users = cur.u64();
-  m.num_roles = cur.u64();
-  m.num_perms = cur.u64();
-  m.coord_records = cur.u64();
-  m.shard_records.reserve(m.shards);
-  for (std::uint32_t s = 0; s < m.shards; ++s) m.shard_records.push_back(cur.u64());
-  if (cur.p != cur.end) fail("trailing bytes in manifest " + path.string());
-  return m;
+  const std::string what = "manifest " + path.string();
+  return read_checked(path, "manifest", [&](io::BinaryReader& r, std::size_t) {
+    expect_header(r, kManifestMagic, kManifestFormatVersion, what);
+    Manifest m;
+    m.shards = r.u32();
+    if (m.shards == 0) fail("manifest names zero shards in " + path.string());
+    for (std::uint64_t* field : {&m.initial_roles, &m.checkpoint_id, &m.engine_version, &m.audits,
+                                 &m.num_users, &m.num_roles, &m.num_perms, &m.coord_records})
+      *field = r.u64();
+    for (std::uint32_t s = 0; s < m.shards; ++s) m.shard_records.push_back(r.u64());
+    return m;
+  });
 }
 
 struct Names {
@@ -221,58 +138,80 @@ struct Names {
 };
 
 void write_names(const fs::path& path, const core::ShardedEngine& engine) {
-  std::vector<char> buf;
-  append_bytes(buf, kNamesMagic, sizeof(kNamesMagic));
-  append_u32(buf, kNamesFormatVersion);
-  append_u32(buf, 0);  // reserved
-  append_u64(buf, engine.num_users());
-  append_u64(buf, engine.num_roles());
-  append_u64(buf, engine.num_permissions());
-  for (const std::string& name : engine.user_names()) append_str(buf, name);
-  for (const std::string& name : engine.role_names()) append_str(buf, name);
-  for (const std::string& name : engine.permission_names()) append_str(buf, name);
-  core::ContentDigest digest;
-  digest.bytes(buf.data(), buf.size());
-  append_u64(buf, digest.value());
-  write_file_atomic(path, buf);
+  write_file_atomic(path, [&](std::ostream& out) {
+    io::BinaryWriter w(out);
+    w.payload(kNamesMagic, sizeof(kNamesMagic));
+    w.u32(kNamesFormatVersion);
+    w.u32(0);  // reserved
+    w.u64(engine.num_users());
+    w.u64(engine.num_roles());
+    w.u64(engine.num_permissions());
+    for (const auto names : {engine.user_names(), engine.role_names(), engine.permission_names()}) {
+      for (const std::string& name : names) {
+        w.u64(name.size());
+        w.payload(name.data(), name.size());
+      }
+    }
+    w.finish();
+  });
 }
 
 [[nodiscard]] Names read_names(const fs::path& path) {
-  const std::vector<char> buf = read_digested_file(path, "names file");
-  Cursor cur{buf.data(), buf.data() + buf.size(), "names file " + path.string()};
-  cur.need(sizeof(kNamesMagic));
-  if (std::memcmp(cur.p, kNamesMagic, sizeof(kNamesMagic)) != 0) {
-    fail("bad magic in names file " + path.string());
-  }
-  cur.p += sizeof(kNamesMagic);
-  if (cur.u32() != kNamesFormatVersion) {
-    fail("unsupported names format in " + path.string());
-  }
-  (void)cur.u32();  // reserved
-  Names names;
-  const std::uint64_t nu = cur.u64();
-  const std::uint64_t nr = cur.u64();
-  const std::uint64_t np = cur.u64();
-  names.users.reserve(nu);
-  names.roles.reserve(nr);
-  names.perms.reserve(np);
-  for (std::uint64_t i = 0; i < nu; ++i) names.users.push_back(cur.str());
-  for (std::uint64_t i = 0; i < nr; ++i) names.roles.push_back(cur.str());
-  for (std::uint64_t i = 0; i < np; ++i) names.perms.push_back(cur.str());
-  if (cur.p != cur.end) fail("trailing bytes in names file " + path.string());
-  return names;
+  const std::string what = "names file " + path.string();
+  return read_checked(path, "names file", [&](io::BinaryReader& r, std::size_t limit) {
+    expect_header(r, kNamesMagic, kNamesFormatVersion, what);
+    (void)r.u32();  // reserved
+    const std::uint64_t nu = r.u64();
+    const std::uint64_t nr = r.u64();
+    const std::uint64_t np = r.u64();
+    const auto name = [&] {
+      const std::uint64_t length = r.u64();
+      if (length > limit) fail("truncated " + what);
+      std::string text(length, '\0');
+      r.payload(text.data(), length);
+      return text;
+    };
+    // Each name costs at least its 8-byte length, which bounds the reserves.
+    Names names;
+    names.users.reserve(std::min<std::uint64_t>(nu, limit / 8));
+    names.roles.reserve(std::min<std::uint64_t>(nr, limit / 8));
+    names.perms.reserve(std::min<std::uint64_t>(np, limit / 8));
+    for (std::uint64_t i = 0; i < nu; ++i) names.users.push_back(name());
+    for (std::uint64_t i = 0; i < nr; ++i) names.roles.push_back(name());
+    for (std::uint64_t i = 0; i < np; ++i) names.perms.push_back(name());
+    return names;
+  });
 }
 
 // ---------------------------------------------------------- record grammar --
 
-[[nodiscard]] bool parse_id(std::string_view text, core::Id* out) {
+template <typename Number>
+[[nodiscard]] bool parse_number(std::string_view text, Number* out) {
   const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
   return ec == std::errc{} && ptr == text.data() + text.size();
 }
 
-[[nodiscard]] bool parse_u64_field(std::string_view text, std::uint64_t* out) {
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
+/// A coordinator intern record `<tag>,<name>`: its tag and the engine call
+/// that interns the name.
+struct InternKind {
+  std::string_view tag;
+  core::Id (core::ShardedEngine::*add)(std::string);
+};
+constexpr InternKind kInternUser{"nu", &core::ShardedEngine::add_user};
+constexpr InternKind kInternRole{"nr", &core::ShardedEngine::add_role};
+constexpr InternKind kInternPerm{"np", &core::ShardedEngine::add_permission};
+
+/// The intern kind of a coordinator record; nullptr for any other record.
+[[nodiscard]] const InternKind* intern_kind(std::string_view payload) {
+  if (payload.size() < 3 || payload[2] != ',') return nullptr;
+  for (const InternKind* kind : {&kInternUser, &kInternRole, &kInternPerm}) {
+    if (payload.substr(0, 2) == kind->tag) return kind;
+  }
+  return nullptr;
+}
+
+[[nodiscard]] std::size_t name_count(const core::ShardedEngine& engine) {
+  return engine.num_users() + engine.num_roles() + engine.num_permissions();
 }
 
 /// `c,<n0>,...,<nS-1>` — exactly `shards` absolute per-shard record counts.
@@ -285,7 +224,7 @@ void write_names(const fs::path& path, const core::ShardedEngine& engine) {
     const std::size_t comma = rest.find(',');
     const std::string_view field = rest.substr(0, comma);
     std::uint64_t value = 0;
-    if (!parse_u64_field(field, &value)) fail("corrupt commit marker: " + std::string(payload));
+    if (!parse_number(field, &value)) fail("corrupt commit marker: " + std::string(payload));
     cuts.push_back(value);
     if (comma == std::string_view::npos) break;
     rest = rest.substr(comma + 1);
@@ -320,116 +259,32 @@ struct EdgeRecord {
   }
   const std::string_view rest = payload.substr(3);
   const std::size_t comma = rest.find(',');
-  if (comma == std::string_view::npos || !parse_id(rest.substr(0, comma), &rec.role) ||
-      !parse_id(rest.substr(comma + 1), &rec.entity)) {
+  if (comma == std::string_view::npos || !parse_number(rest.substr(0, comma), &rec.role) ||
+      !parse_number(rest.substr(comma + 1), &rec.entity)) {
     fail("corrupt edge record: " + std::string(payload));
   }
   return rec;
 }
 
-// ---------------------------------------------------------------- log scan --
-
-/// One WAL stream's surviving records at/after its manifest cut, plus where
-/// each record starts on disk (for uncommitted-tail truncation) and where a
-/// clean append could resume.
-struct ScannedLog {
-  fs::path dir;
-  std::uint64_t base = 0;  ///< manifest cut: records below are baked into bodies
-  std::uint64_t end = 0;   ///< one past the last surviving record
-  std::vector<std::string> payloads;  ///< records [base, end)
-  std::vector<std::pair<fs::path, std::uint64_t>> starts;  ///< per record: segment, offset
-  std::optional<fs::path> resume;
-  std::uint64_t resume_offset = 0;
-};
-
-/// EngineStore::open's segment walk, generalized: damage is survivable only
-/// at the very tail (torn final record truncated, torn-header final segment
-/// deleted); gaps or damage anywhere else fail the open.
-[[nodiscard]] ScannedLog scan_log(const fs::path& dir, std::uint64_t base,
-                                  ShardedRecoveryInfo& info) {
-  ScannedLog log;
-  log.dir = dir;
-  log.base = base;
-  const std::vector<fs::path> segments = list_wal_segments(dir);
-  std::optional<std::uint64_t> expected;
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const bool last = i + 1 == segments.size();
-    std::unique_ptr<WalSegmentReader> reader;
-    try {
-      reader = std::make_unique<WalSegmentReader>(segments[i]);
-    } catch (const WalTornHeader& e) {
-      if (!last) fail("WAL damage before the log tail: " + std::string(e.what()));
-      std::error_code ec;
-      fs::remove(segments[i], ec);
-      if (ec) fail("cannot drop torn segment " + segments[i].string() + ": " + ec.message());
-      info.dropped_torn_segment = true;
-      break;
-    } catch (const WalError& e) {
-      fail(std::string(e.what()));
-    }
-
-    if (expected && reader->start_record() != *expected) {
-      fail("WAL gap: segment " + segments[i].string() + " starts at record " +
-           std::to_string(reader->start_record()) + ", expected " + std::to_string(*expected));
-    }
-    if (!expected && reader->start_record() > base) {
-      fail("WAL in " + dir.string() + " is missing records " + std::to_string(base) + ".." +
-           std::to_string(reader->start_record()) + " needed by the manifest");
-    }
-
-    std::string payload;
-    while (true) {
-      const std::uint64_t record_start = reader->offset();
-      try {
-        if (!reader->next(payload)) break;
-      } catch (const WalTornTail& e) {
-        if (!last) fail("WAL damage before the log tail: " + std::string(e.what()));
-        std::error_code ec;
-        const std::uintmax_t size = fs::file_size(segments[i], ec);
-        if (!ec) fs::resize_file(segments[i], reader->offset(), ec);
-        if (ec) {
-          fail("cannot truncate torn tail of " + segments[i].string() + ": " + ec.message());
-        }
-        info.truncated_bytes += size - reader->offset();
-        break;
-      }
-      if (reader->record_index() - 1 >= base) {
-        log.payloads.push_back(payload);
-        log.starts.emplace_back(segments[i], record_start);
-      }
-    }
-    expected = reader->record_index();
-    log.resume = segments[i];
-    log.resume_offset = reader->offset();
-  }
-  log.end = expected.value_or(base);
-  if (log.end < base) {
-    // The log lost records the bodies already contain (possible only under
-    // FsyncPolicy::kNone); appends restart at the manifest cut.
-    log.payloads.clear();
-    log.starts.clear();
-  }
-  return log;
-}
+// ---------------------------------------------------------- log truncation --
 
 /// Drops records at/after `cut`: deletes whole segments past the cut point
 /// and resizes the segment holding it. The records were part of batches
 /// whose commit never became durable.
-void truncate_uncommitted(ScannedLog& log, std::uint64_t cut, ShardedRecoveryInfo& info) {
+void truncate_uncommitted(RecoveredLog& log, std::uint64_t cut, ShardedRecoveryInfo& info) {
   if (log.end <= cut) return;
   const std::size_t i = cut - log.base;
-  const fs::path segment = log.starts[i].first;
-  const std::uint64_t offset = log.starts[i].second;
-  const std::optional<std::uint64_t> keep_start = wal_segment_start(segment);
-  for (const fs::path& other : list_wal_segments(log.dir)) {
-    const std::optional<std::uint64_t> start = wal_segment_start(other);
-    if (!start || !keep_start || *start <= *keep_start) continue;
+  const std::size_t keep = log.records[i].segment;
+  const std::uint64_t offset = log.records[i].offset;
+  for (std::size_t s = keep + 1; s < log.segments.size(); ++s) {
     std::error_code ec;
-    const std::uintmax_t size = fs::file_size(other, ec);
+    const std::uintmax_t size = fs::file_size(log.segments[s], ec);
     if (!ec) info.truncated_bytes += size;
-    fs::remove(other, ec);
-    if (ec) fail("cannot drop uncommitted segment " + other.string() + ": " + ec.message());
+    fs::remove(log.segments[s], ec);
+    if (ec)
+      fail("cannot drop uncommitted segment " + log.segments[s].string() + ": " + ec.message());
   }
+  const fs::path& segment = log.segments[keep];
   std::error_code ec;
   const std::uintmax_t size = fs::file_size(segment, ec);
   if (!ec) fs::resize_file(segment, offset, ec);
@@ -437,51 +292,22 @@ void truncate_uncommitted(ScannedLog& log, std::uint64_t cut, ShardedRecoveryInf
   info.truncated_bytes += size - offset;
   info.discarded_records += log.end - cut;
   log.end = cut;
-  log.payloads.resize(i);
-  log.starts.resize(i);
-  log.resume = segment;
-  log.resume_offset = offset;
-}
-
-/// Reopens a stream for appending at record `next`, resuming the surviving
-/// segment when it ends exactly there (else a fresh segment — including the
-/// under-kNone case where the log lost its tail and next > end).
-void start_wal_from(Wal& wal, const ScannedLog& log, std::uint64_t next) {
-  if (log.resume && log.end == next) {
-    wal.start(next, log.resume, log.resume_offset);
-  } else {
-    wal.start(next, std::nullopt, 0);
-  }
+  log.records.resize(i);
+  log.segments.resize(keep + 1);
+  log.end_offset = offset;
 }
 
 // ------------------------------------------------------------------ replay --
 
 void replay_intern(core::ShardedEngine& engine, std::string_view payload,
                    ShardedRecoveryInfo& info) {
-  if (payload.size() < 3 || payload[2] != ',') {
-    fail("corrupt coordinator record: " + std::string(payload));
-  }
-  std::string name(payload.substr(3));
-  const std::string_view kind = payload.substr(0, 2);
-  bool grew = false;
-  if (kind == "nu") {
-    const std::size_t before = engine.num_users();
-    engine.add_user(std::move(name));
-    grew = engine.num_users() == before + 1;
-  } else if (kind == "nr") {
-    const std::size_t before = engine.num_roles();
-    engine.add_role(std::move(name));
-    grew = engine.num_roles() == before + 1;
-  } else if (kind == "np") {
-    const std::size_t before = engine.num_permissions();
-    engine.add_permission(std::move(name));
-    grew = engine.num_permissions() == before + 1;
-  } else {
-    fail("unknown coordinator record: " + std::string(payload));
-  }
+  const InternKind* kind = intern_kind(payload);
+  if (kind == nullptr) fail("unknown coordinator record: " + std::string(payload));
+  const std::size_t before = name_count(engine);
+  (void)(engine.*kind->add)(std::string(payload.substr(3)));
   // An intern record was only written when the name was new; a collision
   // means the log and checkpoint disagree about interning history.
-  if (!grew) fail("intern replay collision: " + std::string(payload));
+  if (name_count(engine) != before + 1) fail("intern replay collision: " + std::string(payload));
   ++info.replayed_interns;
 }
 
@@ -515,14 +341,10 @@ void replay_edge(core::ShardedEngine& engine, std::string_view payload,
 
 ShardedEngineStore::ShardedEngineStore(fs::path dir, StoreOptions store_options,
                                        std::size_t shards)
-    : dir_(std::move(dir)),
-      store_options_(store_options),
-      coord_(dir_ / "coord", store_options.fsync, store_options.wal_segment_bytes) {
+    : dir_(std::move(dir)), coord_(dir_ / "coord", store_options.fsync, kWalSegmentBytes) {
   shard_wals_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    shard_wals_.emplace_back(dir_ / shard_dir_name(s), store_options.fsync,
-                             store_options.wal_segment_bytes);
-  }
+  for (std::size_t s = 0; s < shards; ++s)
+    shard_wals_.emplace_back(dir_ / shard_dir_name(s), store_options.fsync, kWalSegmentBytes);
 }
 
 bool ShardedEngineStore::is_sharded_store(const fs::path& dir) {
@@ -536,26 +358,15 @@ ShardedEngineStore ShardedEngineStore::create(const fs::path& dir,
                                               const core::AuditOptions& options,
                                               StoreOptions store_options) {
   if (shards == 0) fail("shards must be >= 1");
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) fail("cannot create directory " + dir.string() + ": " + ec.message());
-  if (is_sharded_store(dir)) fail(dir.string() + " already holds a sharded store");
-  if (!list_snapshots(dir).empty() || !list_wal_segments(dir).empty()) {
-    fail(dir.string() + " already holds an unsharded store");
-  }
-  fs::create_directories(dir / "coord", ec);
-  if (ec) fail("cannot create " + (dir / "coord").string() + ": " + ec.message());
-  for (std::size_t s = 0; s < shards; ++s) {
-    fs::create_directories(dir / shard_dir_name(s), ec);
-    if (ec) fail("cannot create " + (dir / shard_dir_name(s)).string() + ": " + ec.message());
-  }
+  create_store_dir(dir);
+  create_store_dir(dir / "coord");
+  for (std::size_t s = 0; s < shards; ++s) create_store_dir(dir / shard_dir_name(s));
 
   ShardedEngineStore store(dir, store_options, shards);
   store.engine_ = std::make_unique<core::ShardedEngine>(dataset, shards, options);
   store.write_checkpoint_files(0);
   store.checkpoint_id_ = 0;
   store.recovery_.checkpoint_id = 0;
-  store.recovery_.manifest_shard_records.assign(shards, 0);
   store.coord_.start(0, std::nullopt, 0);
   for (Wal& wal : store.shard_wals_) wal.start(0, std::nullopt, 0);
   return store;
@@ -571,7 +382,6 @@ ShardedEngineStore ShardedEngineStore::open(const fs::path& dir,
   ShardedRecoveryInfo& info = store.recovery_;
   info.checkpoint_id = manifest.checkpoint_id;
   info.manifest_coord_records = manifest.coord_records;
-  info.manifest_shard_records = manifest.shard_records;
 
   // 1. Checkpoint image: names + one mmap'd body per shard.
   Names names = read_names(names_path(dir, manifest.checkpoint_id));
@@ -583,13 +393,7 @@ ShardedEngineStore ShardedEngineStore::open(const fs::path& dir,
   images.reserve(manifest.shards);
   store.bodies_.reserve(manifest.shards);
   for (std::size_t s = 0; s < manifest.shards; ++s) {
-    const fs::path body = body_path(dir, s, manifest.checkpoint_id);
-    try {
-      store.bodies_.emplace_back(body);
-    } catch (const BodyError& e) {
-      fail(std::string(e.what()));
-    }
-    const MmapBody& mapped = store.bodies_.back();
+    const MmapBody& mapped = store.bodies_.emplace_back(body_path(dir, s, manifest.checkpoint_id));
     images.push_back({{mapped.roles().begin(), mapped.roles().end()},
                       mapped.users(),
                       mapped.perms()});
@@ -604,12 +408,11 @@ ShardedEngineStore ShardedEngineStore::open(const fs::path& dir,
   }
 
   // 2. Surviving WAL tails of all S+1 streams.
-  ScannedLog coord = scan_log(dir / "coord", manifest.coord_records, info);
-  std::vector<ScannedLog> shards;
+  RecoveredLog coord = recover_log(dir / "coord", manifest.coord_records, info);
+  std::vector<RecoveredLog> shards;
   shards.reserve(manifest.shards);
-  for (std::size_t s = 0; s < manifest.shards; ++s) {
-    shards.push_back(scan_log(dir / shard_dir_name(s), manifest.shard_records[s], info));
-  }
+  for (std::size_t s = 0; s < manifest.shards; ++s)
+    shards.push_back(recover_log(dir / shard_dir_name(s), manifest.shard_records[s], info));
 
   // 3. Walk the coordinator log marker by marker. A batch is committed iff
   // its marker survives and every shard record the marker claims survives
@@ -617,14 +420,10 @@ ShardedEngineStore ShardedEngineStore::open(const fs::path& dir,
   std::vector<std::uint64_t> applied = manifest.shard_records;
   std::uint64_t coord_applied = manifest.coord_records;
   std::size_t pending_begin = 0;
-  for (std::size_t i = 0; i < coord.payloads.size(); ++i) {
-    const std::string& payload = coord.payloads[i];
+  for (std::size_t i = 0; i < coord.records.size(); ++i) {
+    const std::string& payload = coord.records[i].payload;
     if (payload.rfind("c,", 0) != 0) {
-      if (payload.size() < 3 || payload[2] != ',' ||
-          (payload.rfind("nu", 0) != 0 && payload.rfind("nr", 0) != 0 &&
-           payload.rfind("np", 0) != 0)) {
-        fail("unknown coordinator record: " + payload);
-      }
+      if (intern_kind(payload) == nullptr) fail("unknown coordinator record: " + payload);
       continue;  // intern: applied when its batch's marker proves committed
     }
     const std::vector<std::uint64_t> cuts = parse_commit_marker(payload, manifest.shards);
@@ -638,11 +437,11 @@ ShardedEngineStore ShardedEngineStore::open(const fs::path& dir,
     }
     if (!satisfiable) break;
     for (std::size_t j = pending_begin; j < i; ++j) {
-      replay_intern(*store.engine_, coord.payloads[j], info);
+      replay_intern(*store.engine_, coord.records[j].payload, info);
     }
     for (std::size_t s = 0; s < cuts.size(); ++s) {
       for (std::uint64_t idx = applied[s]; idx < cuts[s]; ++idx) {
-        replay_edge(*store.engine_, shards[s].payloads[idx - shards[s].base], info);
+        replay_edge(*store.engine_, shards[s].records[idx - shards[s].base].payload, info);
       }
       applied[s] = cuts[s];
     }
@@ -656,10 +455,9 @@ ShardedEngineStore ShardedEngineStore::open(const fs::path& dir,
   for (std::size_t s = 0; s < manifest.shards; ++s) {
     truncate_uncommitted(shards[s], applied[s], info);
   }
-  start_wal_from(store.coord_, coord, std::max(coord.end, coord_applied));
-  for (std::size_t s = 0; s < manifest.shards; ++s) {
-    start_wal_from(store.shard_wals_[s], shards[s], std::max(shards[s].end, applied[s]));
-  }
+  store.coord_.start(std::max(coord.end, coord_applied), coord);
+  for (std::size_t s = 0; s < manifest.shards; ++s)
+    store.shard_wals_[s].start(std::max(shards[s].end, applied[s]), shards[s]);
   return store;
 }
 
@@ -673,22 +471,10 @@ void ShardedEngineStore::apply(const core::RbacDelta& delta) {
   // The engine runs first so effectiveness (new name? effective edge?) is
   // decided once, by the engine itself; the captured records replay through
   // the same mutators, so recovery reaches the identical state and version.
-  const auto intern_user = [&](const std::string& name) {
-    const std::size_t before = engine.num_users();
-    const core::Id id = engine.add_user(name);
-    if (engine.num_users() != before) coord_records.push_back("nu," + name);
-    return id;
-  };
-  const auto intern_role = [&](const std::string& name) {
-    const std::size_t before = engine.num_roles();
-    const core::Id id = engine.add_role(name);
-    if (engine.num_roles() != before) coord_records.push_back("nr," + name);
-    return id;
-  };
-  const auto intern_perm = [&](const std::string& name) {
-    const std::size_t before = engine.num_permissions();
-    const core::Id id = engine.add_permission(name);
-    if (engine.num_permissions() != before) coord_records.push_back("np," + name);
+  const auto intern = [&](const InternKind& kind, const std::string& name) {
+    const std::size_t before = name_count(engine);
+    const core::Id id = (engine.*kind.add)(name);
+    if (name_count(engine) != before) coord_records.push_back(std::string(kind.tag) + "," + name);
     return id;
   };
   const auto route = [&](const char* op, core::Id role, core::Id entity) {
@@ -699,24 +485,24 @@ void ShardedEngineStore::apply(const core::RbacDelta& delta) {
   for (const core::Mutation& m : delta.mutations) {
     switch (m.kind) {
       case core::MutationKind::kAddUser:
-        intern_user(m.entity);
+        intern(kInternUser, m.entity);
         break;
       case core::MutationKind::kAddRole:
-        intern_role(m.entity);
+        intern(kInternRole, m.entity);
         break;
       case core::MutationKind::kAddPermission:
-        intern_perm(m.entity);
+        intern(kInternPerm, m.entity);
         break;
       case core::MutationKind::kAssignUser: {
-        const core::Id role = intern_role(m.role);
-        const core::Id user = intern_user(m.entity);
+        const core::Id role = intern(kInternRole, m.role);
+        const core::Id user = intern(kInternUser, m.entity);
         engine.assign_user(role, user);
         route("au", role, user);
         break;
       }
       case core::MutationKind::kGrantPermission: {
-        const core::Id role = intern_role(m.role);
-        const core::Id perm = intern_perm(m.entity);
+        const core::Id role = intern(kInternRole, m.role);
+        const core::Id perm = intern(kInternPerm, m.entity);
         engine.grant_permission(role, perm);
         route("gp", role, perm);
         break;
@@ -752,7 +538,7 @@ void ShardedEngineStore::apply(const core::RbacDelta& delta) {
     if (!shard_records[s].empty()) shard_wals_[s].append_raw_batch(shard_records[s]);
   }
   std::string marker = "c";
-  for (const Wal& wal : shard_wals_) marker += "," + std::to_string(wal.next_record());
+  for (const Wal& wal : shard_wals_) marker.append(",").append(std::to_string(wal.next_record()));
   coord_records.push_back(std::move(marker));
   coord_.append_raw_batch(coord_records);
 }
@@ -762,13 +548,9 @@ void ShardedEngineStore::apply(const core::RbacDelta& delta) {
 void ShardedEngineStore::write_checkpoint_files(std::uint64_t id) {
   for (std::size_t s = 0; s < shard_wals_.size(); ++s) {
     const core::ShardedEngine::ShardExport exported = engine_->export_shard(s);
-    try {
-      write_body_file(body_path(dir_, s, id), exported.roles,
-                      {exported.users_row_ptr, exported.users_cols, engine_->num_users()},
-                      {exported.perms_row_ptr, exported.perms_cols, engine_->num_permissions()});
-    } catch (const BodyError& e) {
-      fail("checkpoint failed: " + std::string(e.what()));
-    }
+    write_body_file(body_path(dir_, s, id), exported.roles,
+                    {exported.users_row_ptr, exported.users_cols, engine_->num_users()},
+                    {exported.perms_row_ptr, exported.perms_cols, engine_->num_permissions()});
   }
   write_names(names_path(dir_, id), *engine_);
 
@@ -788,21 +570,14 @@ void ShardedEngineStore::write_checkpoint_files(std::uint64_t id) {
 }
 
 void ShardedEngineStore::prune_stale_checkpoints(std::uint64_t keep) {
-  const auto prune_dir = [&](const fs::path& dir, const std::string& prefix,
-                             const std::string& suffix) {
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind(prefix, 0) != 0) continue;
-      if (name == prefix + generation_suffix(keep) + suffix) continue;
-      std::error_code remove_ec;
-      fs::remove(entry.path(), remove_ec);  // best effort: stale data only
+  const auto prune = [&](const NumberedFiles& files, const fs::path& dir) {
+    for (const fs::path& file : files.list(dir)) {
+      std::error_code ec;
+      if (files.number(file) != keep) fs::remove(file, ec);  // best effort: stale data only
     }
   };
-  prune_dir(dir_, "names-", ".rdnames");
-  for (std::size_t s = 0; s < shard_wals_.size(); ++s) {
-    prune_dir(dir_ / shard_dir_name(s), "body-", ".rdbody");
-  }
+  prune(kNamesFiles, dir_);
+  for (std::size_t s = 0; s < shard_wals_.size(); ++s) prune(kBodyFiles, dir_ / shard_dir_name(s));
 }
 
 core::AuditReport ShardedEngineStore::reaudit() {

@@ -28,8 +28,8 @@
 // log marker by marker, replays each satisfiable batch (interns, then each
 // shard's records up to the marker's cut), and truncates everything after
 // the last satisfiable commit as an uncommitted tail. Torn tails and
-// torn-header segments are repaired exactly as in EngineStore — only at the
-// tail of each log.
+// torn-header segments are repaired by the same walk EngineStore uses
+// (store/wal.hpp's recover_log) — only at the tail of each log.
 //
 // checkpoint() freezes every shard's rows into a new body file, writes the
 // names file, then atomically replaces MANIFEST (the commit point) before
@@ -50,28 +50,25 @@
 
 #include "core/sharded_engine.hpp"
 #include "store/body.hpp"
-#include "store/engine_store.hpp"  // StoreError, StoreOptions
+#include "store/engine_store.hpp"  // StoreOptions
 #include "store/wal.hpp"
 
 namespace rolediet::store {
 
 /// What open() had to do to bring a sharded store back.
-struct ShardedRecoveryInfo {
+struct ShardedRecoveryInfo : TailRepair {
   std::uint64_t checkpoint_id = 0;          ///< manifest generation restored from
   std::uint64_t manifest_coord_records = 0; ///< coordinator records baked into it
-  std::vector<std::uint64_t> manifest_shard_records;  ///< per-shard WAL cuts
   std::uint64_t commits_applied = 0;   ///< commit markers replayed on top
   std::uint64_t replayed_interns = 0;  ///< intern records replayed
   std::uint64_t replayed_edges = 0;    ///< shard edge records replayed
   std::uint64_t discarded_records = 0; ///< uncommitted tail records dropped
-  std::uint64_t truncated_bytes = 0;   ///< torn/uncommitted bytes discarded
-  bool dropped_torn_segment = false;   ///< torn-header tail segment deleted
 };
 
 class ShardedEngineStore {
  public:
-  /// Initializes `dir` (created if missing; must not already hold a store)
-  /// with checkpoint 0 of the dataset split into `shards` shards and empty
+  /// Initializes `dir` (created if missing; must not already hold a store of
+  /// either layout) with checkpoint 0 of the dataset split into `shards` shards and empty
   /// WAL streams. Throws StoreError on an existing store or I/O failure.
   [[nodiscard]] static ShardedEngineStore create(const std::filesystem::path& dir,
                                                  const core::RbacDataset& dataset,
@@ -86,8 +83,8 @@ class ShardedEngineStore {
                                                const core::AuditOptions& options,
                                                StoreOptions store_options = {});
 
-  /// True when `dir` holds a sharded store (a MANIFEST file) — the CLI's
-  /// auto-detection between EngineStore and ShardedEngineStore layouts.
+  /// True when `dir` holds a sharded store (a MANIFEST file) — how
+  /// store::Store::open tells the two layouts apart.
   [[nodiscard]] static bool is_sharded_store(const std::filesystem::path& dir);
 
   ShardedEngineStore(ShardedEngineStore&&) = default;
@@ -134,7 +131,6 @@ class ShardedEngineStore {
   [[nodiscard]] std::size_t num_shards() const noexcept { return shard_wals_.size(); }
   [[nodiscard]] std::uint64_t checkpoint_id() const noexcept { return checkpoint_id_; }
   [[nodiscard]] const ShardedRecoveryInfo& recovery() const noexcept { return recovery_; }
-  [[nodiscard]] const std::filesystem::path& dir() const noexcept { return dir_; }
 
  private:
   ShardedEngineStore(std::filesystem::path dir, StoreOptions store_options, std::size_t shards);
@@ -145,7 +141,6 @@ class ShardedEngineStore {
   void prune_stale_checkpoints(std::uint64_t keep);
 
   std::filesystem::path dir_;
-  StoreOptions store_options_;
   std::vector<MmapBody> bodies_;  ///< outlives engine_ (declared first)
   std::unique_ptr<core::ShardedEngine> engine_;
   Wal coord_;

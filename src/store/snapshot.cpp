@@ -1,13 +1,9 @@
 #include "store/snapshot.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <array>
-#include <cstdio>
+#include <bit>
 #include <cstring>
 #include <fstream>
-#include <system_error>
 
 #include "core/version.hpp"
 #include "io/binary.hpp"
@@ -22,18 +18,6 @@ constexpr std::array<char, 8> kSnapMagic{'R', 'D', 'S', 'N', 'A', 'P', '1', '\0'
 /// Caps u64-prefixed list sizes read from disk before allocation; a snapshot
 /// claiming more dirty flags or cached pairs than this is corrupt, not big.
 constexpr std::uint64_t kSaneListLimit = 1ULL << 32;
-
-std::uint64_t double_bits(double d) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) {
-  double d = 0.0;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
 
 void write_axis(io::BinaryWriter& w, const core::EnginePersistentState::AxisState& axis) {
   w.u64(axis.dirty.size());
@@ -70,26 +54,6 @@ core::EnginePersistentState::AxisState read_axis(io::BinaryReader& r, const fs::
   return axis;
 }
 
-/// Best-effort durability for a directory entry (create/rename/remove).
-void fsync_dir(const fs::path& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
-void fsync_file(const fs::path& file) {
-  const int fd = ::open(file.c_str(), O_RDONLY);
-  if (fd < 0)
-    throw SnapshotError("snapshot: cannot reopen " + file.string() + " for fsync: " +
-                        std::strerror(errno));
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0)
-    throw SnapshotError("snapshot: fsync failed for " + file.string() + ": " +
-                        std::strerror(errno));
-}
-
 }  // namespace
 
 OptionFingerprint OptionFingerprint::of(const core::AuditOptions& options) {
@@ -121,49 +85,17 @@ EngineSnapshot capture_snapshot(const core::EngineVersion& version,
   return snapshot;
 }
 
-std::string snapshot_name(std::uint64_t wal_records) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "snap-%020llu.rdsnap",
-                static_cast<unsigned long long>(wal_records));
-  return buf;
-}
+std::string snapshot_name(std::uint64_t wal_records) { return kSnapshotFiles.name(wal_records); }
 
 std::optional<std::uint64_t> snapshot_records(const fs::path& file) {
-  const std::string name = file.filename().string();
-  // snap- + 20 digits + .rdsnap
-  if (name.size() != 32 || name.rfind("snap-", 0) != 0 || name.substr(25) != ".rdsnap")
-    return std::nullopt;
-  std::uint64_t records = 0;
-  for (std::size_t i = 5; i < 25; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return std::nullopt;
-    records = records * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return records;
+  return kSnapshotFiles.number(file);
 }
 
-std::vector<fs::path> list_snapshots(const fs::path& dir) {
-  std::vector<fs::path> snapshots;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    if (snapshot_records(entry.path())) snapshots.push_back(entry.path());
-  }
-  if (ec)
-    throw SnapshotError("snapshot: cannot list directory " + dir.string() + ": " + ec.message());
-  std::sort(snapshots.begin(), snapshots.end(),
-            [](const fs::path& a, const fs::path& b) {
-              return *snapshot_records(a) < *snapshot_records(b);
-            });
-  return snapshots;
-}
+std::vector<fs::path> list_snapshots(const fs::path& dir) { return kSnapshotFiles.list(dir); }
 
 fs::path SnapshotWriter::write(const EngineSnapshot& snapshot) const {
   const fs::path final_path = dir_ / snapshot_name(snapshot.wal_records);
-  const fs::path tmp_path = final_path.string() + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) throw SnapshotError("snapshot: cannot create " + tmp_path.string());
+  write_file_atomic(final_path, [&](std::ostream& out) {
     io::BinaryWriter w(out);
     w.raw(kSnapMagic.data(), kSnapMagic.size());
     w.u32(core::kSnapshotFormatVersion);
@@ -174,7 +106,7 @@ fs::path SnapshotWriter::write(const EngineSnapshot& snapshot) const {
     w.u8(fp.detect_similar ? 1 : 0);
     w.u8(static_cast<std::uint8_t>(fp.similarity_mode));
     w.u64(fp.similarity_threshold);
-    w.u64(double_bits(fp.jaccard_dissimilarity));
+    w.u64(std::bit_cast<std::uint64_t>(fp.jaccard_dissimilarity));
 
     io::write_dataset_body(w, snapshot.dataset);
 
@@ -183,24 +115,8 @@ fs::path SnapshotWriter::write(const EngineSnapshot& snapshot) const {
     w.u8(snapshot.engine.audited_once ? 1 : 0);
     write_axis(w, snapshot.engine.users);
     write_axis(w, snapshot.engine.perms);
-
-    try {
-      w.finish();
-    } catch (const io::BinaryError& e) {
-      throw SnapshotError("snapshot: write failed for " + tmp_path.string() + ": " + e.what());
-    }
-  }
-  // Durability order matters: the bytes must be stable before the rename
-  // makes them visible under the real name, and the rename itself must be
-  // stable before the caller prunes anything the new snapshot supersedes.
-  fsync_file(tmp_path);
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    fs::remove(tmp_path, ec);
-    throw SnapshotError("snapshot: cannot rename " + tmp_path.string() + " into place");
-  }
-  fsync_dir(dir_);
+    w.finish();
+  });
   return final_path;
 }
 
@@ -236,7 +152,7 @@ EngineSnapshot SnapshotReader::read() const {
   fp.detect_similar = r.u8() != 0;
   fp.similarity_mode = static_cast<core::SimilarityMode>(r.u8());
   fp.similarity_threshold = r.u64();
-  fp.jaccard_dissimilarity = bits_double(r.u64());
+  fp.jaccard_dissimilarity = std::bit_cast<double>(r.u64());
 
   snapshot.dataset = io::read_dataset_body(r);
 

@@ -29,18 +29,18 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/framework.hpp"
 #include "core/model.hpp"
+#include "store/file_io.hpp"
 
 namespace rolediet::store {
 
-class SnapshotError : public std::runtime_error {
+class SnapshotError : public StoreError {
  public:
-  using std::runtime_error::runtime_error;
+  using StoreError::StoreError;
 };
 
 /// The audit options that determine cache validity. Threads, backend, and
@@ -94,8 +94,8 @@ class SnapshotWriter {
  public:
   explicit SnapshotWriter(std::filesystem::path dir) : dir_(std::move(dir)) {}
 
-  /// Writes snap-<wal_records>.rdsnap atomically (tmp + fsync + rename +
-  /// directory fsync) and returns the final path. Throws SnapshotError on
+  /// Writes snap-<wal_records>.rdsnap atomically (store/file_io.hpp's
+  /// write_file_atomic) and returns the final path. Throws StoreError on
   /// any I/O failure; the store is left readable either way.
   std::filesystem::path write(const EngineSnapshot& snapshot) const;
 

@@ -3,11 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <system_error>
 #include <utility>
 
@@ -27,57 +26,16 @@ constexpr std::size_t kHeaderBytes = kWalMagic.size() + 4 + 8;
 /// single journal CSV record is a few names, never megabytes.
 constexpr std::uint32_t kMaxRecordBytes = 1u << 24;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+/// Appends the low `bytes` bytes of `v`, little-endian.
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
+/// Decodes `bytes` little-endian bytes.
+std::uint64_t get_le(const unsigned char* p, int bytes) {
   std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  for (int i = bytes - 1; i >= 0; --i) v = (v << 8) | p[i];
   return v;
-}
-
-[[noreturn]] void throw_errno(const std::string& what, const fs::path& file) {
-  throw WalError(what + " " + file.string() + ": " + std::strerror(errno));
-}
-
-void fsync_fd(int fd, const fs::path& file) {
-  if (::fsync(fd) != 0) throw_errno("wal: fsync failed for", file);
-}
-
-/// Makes a just-created/renamed/deleted directory entry durable. Best effort:
-/// some filesystems refuse fsync on directories, which is not worth failing
-/// the append for.
-void fsync_dir(const fs::path& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
-}
-
-void write_fully(int fd, const char* data, std::size_t size, const fs::path& file) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("wal: write failed for", file);
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
 }
 
 }  // namespace
@@ -91,41 +49,13 @@ std::string_view to_string(FsyncPolicy policy) noexcept {
   return "unknown";
 }
 
-std::string wal_segment_name(std::uint64_t start_record) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "wal-%020llu.log",
-                static_cast<unsigned long long>(start_record));
-  return buf;
-}
+std::string wal_segment_name(std::uint64_t start) { return kWalSegmentFiles.name(start); }
 
 std::optional<std::uint64_t> wal_segment_start(const fs::path& file) {
-  const std::string name = file.filename().string();
-  // wal- + 20 digits + .log
-  if (name.size() != 28 || name.rfind("wal-", 0) != 0 || name.substr(24) != ".log")
-    return std::nullopt;
-  std::uint64_t start = 0;
-  for (std::size_t i = 4; i < 24; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return std::nullopt;
-    start = start * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return start;
+  return kWalSegmentFiles.number(file);
 }
 
-std::vector<fs::path> list_wal_segments(const fs::path& dir) {
-  std::vector<fs::path> segments;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    if (wal_segment_start(entry.path())) segments.push_back(entry.path());
-  }
-  if (ec) throw WalError("wal: cannot list directory " + dir.string() + ": " + ec.message());
-  std::sort(segments.begin(), segments.end(),
-            [](const fs::path& a, const fs::path& b) {
-              return *wal_segment_start(a) < *wal_segment_start(b);
-            });
-  return segments;
-}
+std::vector<fs::path> list_wal_segments(const fs::path& dir) { return kWalSegmentFiles.list(dir); }
 
 // ---- WalSegmentReader ----
 
@@ -141,13 +71,13 @@ WalSegmentReader::WalSegmentReader(const fs::path& file)
   }
   if (std::memcmp(header.data(), kWalMagic.data(), kWalMagic.size()) != 0)
     throw WalError("wal: bad magic in " + file.string());
-  const std::uint32_t format = get_u32(header.data() + kWalMagic.size());
+  const std::uint64_t format = get_le(header.data() + kWalMagic.size(), 4);
   if (format != core::kWalFormatVersion) {
     throw WalError("wal: segment " + file.string() + " has format version " +
                    std::to_string(format) + "; this build reads version " +
                    std::to_string(core::kWalFormatVersion));
   }
-  start_record_ = get_u64(header.data() + kWalMagic.size() + 4);
+  start_record_ = get_le(header.data() + kWalMagic.size() + 4, 8);
   const auto named = wal_segment_start(file);
   if (named && *named != start_record_) {
     throw WalError("wal: segment " + file.string() + " header claims start record " +
@@ -165,8 +95,8 @@ bool WalSegmentReader::next(std::string& payload) {
     throw WalTornTail("wal: torn frame header at offset " + std::to_string(good_offset_) +
                       " in " + file_.string());
   }
-  const std::uint32_t length = get_u32(frame.data());
-  const std::uint32_t crc = get_u32(frame.data() + 4);
+  const std::uint64_t length = get_le(frame.data(), 4);
+  const std::uint64_t crc = get_le(frame.data() + 4, 4);
   if (length > kMaxRecordBytes) {
     throw WalTornTail("wal: implausible record length " + std::to_string(length) +
                       " at offset " + std::to_string(good_offset_) + " in " + file_.string());
@@ -184,6 +114,71 @@ bool WalSegmentReader::next(std::string& payload) {
   good_offset_ += 8 + length;
   ++count_;
   return true;
+}
+
+// ---- recovery walk ----
+
+RecoveredLog recover_log(const fs::path& dir, std::uint64_t base, TailRepair& repair) {
+  RecoveredLog log;
+  log.base = base;
+  const std::vector<fs::path> segments = list_wal_segments(dir);
+  std::optional<std::uint64_t> expected;
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const bool last = i + 1 == segments.size();
+    std::unique_ptr<WalSegmentReader> reader;
+    try {
+      reader = std::make_unique<WalSegmentReader>(segments[i]);
+    } catch (const WalTornHeader& e) {
+      if (!last) throw WalError("store: WAL damage before the log tail: " + std::string(e.what()));
+      // Crash during segment creation: the segment holds nothing committed.
+      std::error_code ec;
+      fs::remove(segments[i], ec);
+      if (ec)
+        throw WalError("store: cannot drop torn segment " + segments[i].string() + ": " +
+                       ec.message());
+      repair.dropped_torn_segment = true;
+      break;
+    }
+
+    if (expected && reader->start_record() != *expected) {
+      throw WalError("store: WAL gap: segment " + segments[i].string() + " starts at record " +
+                     std::to_string(reader->start_record()) + ", expected " +
+                     std::to_string(*expected));
+    }
+    if (!expected && reader->start_record() > base) {
+      throw WalError("store: WAL in " + dir.string() + " is missing records " +
+                     std::to_string(base) + ".." + std::to_string(reader->start_record()) +
+                     " needed by its checkpoint");
+    }
+
+    log.segments.push_back(segments[i]);
+    std::string payload;
+    while (true) {
+      const std::uint64_t offset = reader->offset();
+      try {
+        if (!reader->next(payload)) break;
+      } catch (const WalTornTail& e) {
+        if (!last)
+          throw WalError("store: WAL damage before the log tail: " + std::string(e.what()));
+        // Crash mid-append: discard the torn bytes so the next append
+        // continues from the last committed record boundary.
+        std::error_code ec;
+        const std::uintmax_t size = fs::file_size(segments[i], ec);
+        if (!ec) fs::resize_file(segments[i], reader->offset(), ec);
+        if (ec)
+          throw WalError("store: cannot truncate torn tail of " + segments[i].string() + ": " +
+                         ec.message());
+        repair.truncated_bytes += size - reader->offset();
+        break;
+      }
+      if (reader->record_index() - 1 >= base)
+        log.records.push_back({std::move(payload), log.segments.size() - 1, offset});
+    }
+    expected = reader->record_index();
+    log.end_offset = reader->offset();
+  }
+  log.end = expected.value_or(base);
+  return log;
 }
 
 // ---- Wal ----
@@ -205,20 +200,6 @@ Wal::Wal(Wal&& other) noexcept
       active_bytes_(other.active_bytes_),
       next_record_(other.next_record_) {}
 
-Wal& Wal::operator=(Wal&& other) noexcept {
-  if (this != &other) {
-    close_active();
-    dir_ = std::move(other.dir_);
-    policy_ = other.policy_;
-    segment_bytes_ = other.segment_bytes_;
-    fd_ = std::exchange(other.fd_, -1);
-    active_path_ = std::move(other.active_path_);
-    active_bytes_ = other.active_bytes_;
-    next_record_ = other.next_record_;
-  }
-  return *this;
-}
-
 void Wal::close_active() noexcept {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -230,16 +211,18 @@ void Wal::open_segment(std::uint64_t start_record) {
   close_active();
   active_path_ = dir_ / wal_segment_name(start_record);
   fd_ = ::open(active_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd_ < 0) throw_errno("wal: cannot create segment", active_path_);
+  if (fd_ < 0)
+    throw WalError("wal: cannot create segment " + active_path_.string() + ": " +
+                   std::strerror(errno));
   std::string header;
   header.reserve(kHeaderBytes);
   header.append(kWalMagic.data(), kWalMagic.size());
-  put_u32(header, core::kWalFormatVersion);
-  put_u64(header, start_record);
-  write_fully(fd_, header.data(), header.size(), active_path_);
+  put_le(header, core::kWalFormatVersion, 4);
+  put_le(header, start_record, 8);
+  write_all(fd_, header.data(), header.size(), active_path_);
   active_bytes_ = header.size();
   if (policy_ != FsyncPolicy::kNone) {
-    fsync_fd(fd_, active_path_);
+    fsync_file(fd_, active_path_);
     fsync_dir(dir_);
   }
 }
@@ -253,11 +236,18 @@ void Wal::start(std::uint64_t next_record, const std::optional<fs::path>& resume
     // for appending at exactly that offset.
     active_path_ = *resume;
     fd_ = ::open(active_path_.c_str(), O_WRONLY | O_APPEND);
-    if (fd_ < 0) throw_errno("wal: cannot reopen segment", active_path_);
+    if (fd_ < 0)
+      throw WalError("wal: cannot reopen segment " + active_path_.string() + ": " +
+                     std::strerror(errno));
     active_bytes_ = resume_offset;
     return;
   }
   open_segment(next_record);
+}
+
+void Wal::start(std::uint64_t next_record, const RecoveredLog& log) {
+  if (log.segments.empty() || log.end != next_record) return start(next_record, std::nullopt, 0);
+  start(next_record, log.segments.back(), log.end_offset);
 }
 
 void Wal::append_payload(const std::string& payload, bool sync_now) {
@@ -265,13 +255,13 @@ void Wal::append_payload(const std::string& payload, bool sync_now) {
   if (active_bytes_ >= segment_bytes_) open_segment(next_record_);
   std::string frame;
   frame.reserve(8 + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, util::crc32(payload.data(), payload.size()));
+  put_le(frame, payload.size(), 4);
+  put_le(frame, util::crc32(payload.data(), payload.size()), 4);
   frame.append(payload);
-  write_fully(fd_, frame.data(), frame.size(), active_path_);
+  write_all(fd_, frame.data(), frame.size(), active_path_);
   active_bytes_ += frame.size();
   ++next_record_;
-  if (sync_now) fsync_fd(fd_, active_path_);
+  if (sync_now) fsync_file(fd_, active_path_);
 }
 
 void Wal::append(const core::Mutation& mutation) {
@@ -284,10 +274,6 @@ void Wal::append_batch(const core::RbacDelta& delta) {
   if (policy_ == FsyncPolicy::kEveryBatch && !delta.empty()) sync();
 }
 
-void Wal::append_raw(const std::string& payload) {
-  append_payload(payload, policy_ != FsyncPolicy::kNone);
-}
-
 void Wal::append_raw_batch(std::span<const std::string> payloads) {
   for (const std::string& payload : payloads)
     append_payload(payload, policy_ == FsyncPolicy::kEveryRecord);
@@ -295,11 +281,11 @@ void Wal::append_raw_batch(std::span<const std::string> payloads) {
 }
 
 void Wal::sync() {
-  if (fd_ >= 0) fsync_fd(fd_, active_path_);
+  if (fd_ >= 0) fsync_file(fd_, active_path_);
 }
 
 void Wal::rotate() {
-  if (fd_ >= 0 && policy_ != FsyncPolicy::kNone) fsync_fd(fd_, active_path_);
+  if (fd_ >= 0 && policy_ != FsyncPolicy::kNone) fsync_file(fd_, active_path_);
   open_segment(next_record_);
 }
 

@@ -34,17 +34,17 @@
 #include <fstream>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "store/file_io.hpp"
 
 namespace rolediet::store {
 
-class WalError : public std::runtime_error {
+class WalError : public StoreError {
  public:
-  using std::runtime_error::runtime_error;
+  using StoreError::StoreError;
 };
 
 /// The remaining bytes of a segment do not form a complete valid record.
@@ -69,6 +69,9 @@ enum class FsyncPolicy {
 };
 
 [[nodiscard]] std::string_view to_string(FsyncPolicy policy) noexcept;
+
+/// Rotation threshold both stores give their WAL segments.
+inline constexpr std::size_t kWalSegmentBytes = 4u << 20;
 
 /// Builds the segment file name for a given starting record index.
 [[nodiscard]] std::string wal_segment_name(std::uint64_t start_record);
@@ -110,6 +113,35 @@ class WalSegmentReader {
   std::uint64_t count_ = 0;
 };
 
+/// What recovery cut off the tails of WAL logs.
+struct TailRepair {
+  std::uint64_t truncated_bytes = 0;  ///< torn (sharded: also uncommitted) bytes
+  bool dropped_torn_segment = false;  ///< a torn-header final segment was deleted
+};
+
+/// What recover_log() left of one WAL directory.
+struct RecoveredLog {
+  struct Record {
+    std::string payload;
+    std::size_t segment = 0;   ///< index into `segments`
+    std::uint64_t offset = 0;  ///< where its frame starts in that segment
+  };
+  std::vector<std::filesystem::path> segments;  ///< surviving, in record order
+  std::uint64_t end_offset = 0;  ///< committed bytes of segments.back()
+  std::uint64_t base = 0;
+  std::uint64_t end = 0;         ///< one past the last surviving record, or `base`
+  std::vector<Record> records;   ///< records [base, end)
+};
+
+/// The one WAL recovery walk, shared by both store layouts: reads every
+/// segment of `dir` and keeps the records from `base` on (what the caller's
+/// checkpoint does not cover). Damage is survivable only at the very tail,
+/// and is recorded in `repair`: a torn final record is truncated away, a
+/// final segment shorter than its header is deleted. Gaps, records missing
+/// below `base` and damage anywhere else throw StoreError.
+[[nodiscard]] RecoveredLog recover_log(const std::filesystem::path& dir, std::uint64_t base,
+                                       TailRepair& repair);
+
 /// Append side: owns the active segment. Move-only (holds a file handle).
 class Wal {
  public:
@@ -118,7 +150,6 @@ class Wal {
   Wal(std::filesystem::path dir, FsyncPolicy policy, std::size_t segment_bytes);
   ~Wal();
   Wal(Wal&& other) noexcept;
-  Wal& operator=(Wal&& other) noexcept;
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
@@ -131,6 +162,11 @@ class Wal {
   void start(std::uint64_t next_record, const std::optional<std::filesystem::path>& resume,
              std::uint64_t resume_offset);
 
+  /// start() after recovery: continues the log's last surviving segment
+  /// when it ends exactly at `next_record`, else starts a fresh one (the
+  /// log lost its tail under FsyncPolicy::kNone, or holds no segment).
+  void start(std::uint64_t next_record, const RecoveredLog& log);
+
   /// Appends one framed record and applies the fsync policy (kEveryRecord
   /// syncs; kEveryBatch treats a single record as a batch of one).
   void append(const core::Mutation& mutation);
@@ -138,14 +174,11 @@ class Wal {
   /// Appends the whole delta, syncing once at the end under kEveryBatch.
   void append_batch(const core::RbacDelta& delta);
 
-  /// Appends one raw payload under the same CRC framing. The sharded store
-  /// streams its own record grammar (shard-local id records, commit markers)
-  /// through the identical segment format; the frame does not care what the
-  /// payload says. Fsync policy applies as in append().
-  void append_raw(const std::string& payload);
-
-  /// Appends raw payloads as one batch: one fsync at the end under
-  /// kEveryBatch, per-record under kEveryRecord.
+  /// Appends raw payloads as one batch under the same CRC framing: one
+  /// fsync at the end under kEveryBatch, per-record under kEveryRecord. The
+  /// sharded store streams its own record grammar (shard-local id records,
+  /// commit markers) through the identical segment format; the frame does
+  /// not care what the payload says.
   void append_raw_batch(std::span<const std::string> payloads);
 
   /// Explicit flush to stable storage regardless of policy.
@@ -161,8 +194,6 @@ class Wal {
   /// Global index of the next record to be appended == total records ever
   /// committed to this log.
   [[nodiscard]] std::uint64_t next_record() const noexcept { return next_record_; }
-
-  [[nodiscard]] FsyncPolicy policy() const noexcept { return policy_; }
 
  private:
   void open_segment(std::uint64_t start_record);

@@ -477,6 +477,11 @@ TEST(Cli, ShardedStoreRoundTripsThroughAutoDetectingRecover) {
   EXPECT_NE(init.out.find("baseline generation 0 across 2 shards"), std::string::npos);
   EXPECT_TRUE(fs::is_regular_file(dir.path("store/MANIFEST")));
 
+  // A flat store must not be created on top of the sharded one.
+  const CliResult flat = run_cli({"checkpoint", dir.path("data"), dir.path("store")});
+  EXPECT_EQ(flat.code, 1);
+  EXPECT_NE(flat.err.find("error: store"), std::string::npos) << flat.err;
+
   // recover auto-detects the sharded layout from the MANIFEST.
   const CliResult rec = run_cli({"recover", dir.path("store")});
   ASSERT_EQ(rec.code, 0) << rec.err;

@@ -298,7 +298,6 @@ TEST_P(RandomizedAgreement, ParallelGroupsFormPartitionAndSkipEmptyRows) {
   const DbscanGroupFinder dbscan({.threads = 4});
   core::methods::HnswGroupFinder::Options hnsw_options;
   hnsw_options.threads = 4;
-  hnsw_options.build_batch = 32;
   const HnswGroupFinder hnsw(hnsw_options);
   core::methods::MinHashGroupFinder::Options minhash_options;
   minhash_options.lsh.threads = 4;

@@ -245,6 +245,87 @@ TEST(ShardedStoreLayout, CreateOpenValidationAndDetection) {
   }
 }
 
+/// Little-endian `bytes`-wide encoding of `v`, appended to `out`.
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+/// `body` followed by its FNV-1a digest, the framing both files end with.
+std::string with_digest(std::string body) {
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  for (const char c : body) digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  put_le(body, digest, 8);
+  return body;
+}
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Pins the MANIFEST and names-file bytes against files assembled by hand:
+/// magic, little-endian fields, u64-prefixed names, and a trailing digest
+/// of every preceding byte (magic included).
+TEST(ShardedStoreLayout, ManifestAndNamesBytesMatchTheFormat) {
+  core::RbacDataset dataset;
+  dataset.add_user("ann");
+  dataset.add_role("r0");
+  dataset.add_role("r1");
+  dataset.add_permission("p");
+  dataset.assign_user(0, 0);
+  dataset.grant_permission(1, 0);
+  ScopedTempDir root("shardbytes");
+  const fs::path dir = root.file("store");
+  (void)ShardedEngineStore::create(dir, dataset, 2, default_options());
+
+  std::string manifest("RDMAN1\0\0", 8);
+  put_le(manifest, 1, 4);  // format version
+  put_le(manifest, 2, 4);  // shards
+  // initial roles, checkpoint id, engine version, audits, users, roles,
+  // permissions, coordinator records, then each shard's records.
+  for (const std::uint64_t field : {2, 0, 0, 0, 1, 2, 1, 0, 0, 0}) put_le(manifest, field, 8);
+  EXPECT_EQ(slurp(dir / "MANIFEST"), with_digest(manifest));
+
+  std::string names("RDNAME1\0", 8);
+  put_le(names, 1, 4);  // format version
+  put_le(names, 0, 4);  // reserved
+  for (const std::uint64_t count : {1, 2, 1}) put_le(names, count, 8);
+  for (const std::string name : {"ann", "r0", "r1", "p"}) {
+    put_le(names, name.size(), 8);
+    names += name;
+  }
+  EXPECT_EQ(slurp(dir / "names-00000000000000000000.rdnames"), with_digest(names));
+}
+
+/// A digest-valid MANIFEST or names file can still carry hostile counts; the
+/// open must fail with StoreError instead of sizing an allocation by them.
+TEST(ShardedStoreLayout, HostileCountsInDigestValidFilesFailTheOpen) {
+  ScopedTempDir root("shardhostile");
+  const fs::path dir = root.file("store");
+  (void)ShardedEngineStore::create(dir, testing::figure1_dataset(), 2, default_options());
+  const auto overwrite = [](const fs::path& path, const std::string& body) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << with_digest(body);
+  };
+
+  const fs::path names_file = dir / "names-00000000000000000000.rdnames";
+  const std::string names_before = slurp(names_file);
+  std::string names("RDNAME1\0", 8);
+  put_le(names, 1, 4);  // format version
+  put_le(names, 0, 4);  // reserved
+  for (const std::uint64_t count : {std::uint64_t{1} << 60, std::uint64_t{0}, std::uint64_t{0}})
+    put_le(names, count, 8);
+  overwrite(names_file, names);
+  EXPECT_THROW((void)ShardedEngineStore::open(dir, default_options()), store::StoreError);
+  std::ofstream(names_file, std::ios::binary | std::ios::trunc) << names_before;
+
+  std::string manifest("RDMAN1\0\0", 8);
+  put_le(manifest, 1, 4);           // format version
+  put_le(manifest, 0xFFFFFFFF, 4);  // shards
+  for (int field = 0; field < 8; ++field) put_le(manifest, 0, 8);
+  overwrite(dir / "MANIFEST", manifest);
+  EXPECT_THROW((void)ShardedEngineStore::open(dir, default_options()), store::StoreError);
+}
+
 TEST(ShardedStoreCheckpoint, PrunesSupersededGenerationsAndResumesAppends) {
   const core::AuditOptions options = default_options();
   ScopedTempDir root("shardckpt");

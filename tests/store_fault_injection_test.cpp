@@ -12,8 +12,14 @@
 // kApproxHnsw's live incremental graph is the engine's documented
 // exception; recovery sidesteps it by rebuild-marking the artifacts and
 // re-running the batch pass, so byte-identity holds here too.
+//
+// The second suite fails I/O *during* a checkpoint through the store/file_io
+// fault hook: each write, fsync, directory fsync and rename of one
+// checkpoint() in turn, on both layouts. A failed checkpoint must throw
+// StoreError and leave a directory that reopens to the pre-checkpoint state.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -22,6 +28,7 @@
 #include "core/engine.hpp"
 #include "core/framework.hpp"
 #include "store/engine_store.hpp"
+#include "store/store.hpp"
 #include "store/wal.hpp"
 #include "test_helpers.hpp"
 
@@ -259,6 +266,84 @@ TEST_P(StoreFaultInjectionTest, EveryTruncationRecoversTheCommittedPrefix) {
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, StoreFaultInjectionTest, ::testing::ValuesIn(all_cases()),
                          case_name);
+
+// ---- I/O that fails during a checkpoint -------------------------------------
+
+/// A store in `dir` (flat for 0 shards) holding the whole trace: the first
+/// half checkpointed, the rest in the WAL, the last batch published.
+Store seeded_store(const fs::path& dir, std::size_t shards) {
+  const std::vector<core::Mutation> trace = build_trace();
+  const auto half = trace.begin() + static_cast<std::ptrdiff_t>(trace.size() / 2);
+  Store store = Store::create(dir, base_dataset(), shards, {});
+  core::RbacDelta batch;
+  batch.mutations.assign(trace.begin(), half);
+  store.apply(batch);
+  (void)store.reaudit();
+  (void)store.checkpoint();
+  batch.mutations.assign(half, trace.end());
+  store.apply(batch);
+  (void)store.reaudit();
+  return store;
+}
+
+struct Injection {
+  IoCall kind;
+  int error;
+  bool checkpoint_fails;  ///< false: the seam absorbs the error
+};
+
+class CheckpointIoFaultTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CheckpointIoFaultTest, EveryFailedCallLeavesTheStoreRecoverable) {
+  const std::size_t shards = GetParam();
+  ScopedTempDir root("iofault");
+  const Injection injections[] = {
+      {IoCall::kWrite, EIO, true},        {IoCall::kWrite, ENOSPC, true},
+      {IoCall::kWrite, EINTR, false},     {IoCall::kFileFsync, EIO, true},
+      {IoCall::kDirFsync, EIO, true},     {IoCall::kDirFsync, EINVAL, false},
+      {IoCall::kRename, EIO, true},
+  };
+  int case_id = 0;
+  for (const Injection& injection : injections) {
+    // How many calls of this kind one checkpoint makes.
+    std::uint64_t calls = 0;
+    {
+      Store store = seeded_store(root.file("count-" + std::to_string(case_id)), shards);
+      inject_fault(injection.kind, 0, 0);
+      (void)store.checkpoint();
+      calls = clear_fault();
+    }
+    ASSERT_GT(calls, 0u) << "kind " << static_cast<int>(injection.kind);
+
+    for (std::uint64_t nth = 1; nth <= calls; ++nth) {
+      SCOPED_TRACE("kind " + std::to_string(static_cast<int>(injection.kind)) + ", errno " +
+                   std::to_string(injection.error) + ", call " + std::to_string(nth) + " of " +
+                   std::to_string(calls));
+      const fs::path dir = root.file("case-" + std::to_string(++case_id));
+      std::string expected;
+      {
+        Store store = seeded_store(dir, shards);
+        expected = findings_text(store.reaudit());
+        inject_fault(injection.kind, nth, injection.error);
+        if (injection.checkpoint_fails) {
+          EXPECT_THROW((void)store.checkpoint(), StoreError);
+        } else {
+          EXPECT_NO_THROW((void)store.checkpoint());
+        }
+        (void)clear_fault();
+      }  // a failed store is discarded, as after a crash
+      Store reopened = Store::open(dir, {});
+      EXPECT_EQ(reopened.shards(), shards);
+      EXPECT_EQ(findings_text(reopened.reaudit()), expected);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, CheckpointIoFaultTest, ::testing::Values(0, 2),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return info.param == 0 ? std::string("Flat")
+                                                  : "Sharded" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace rolediet::store

@@ -14,6 +14,7 @@
 #include "fig3_workload.hpp"
 #include "io/journal.hpp"
 #include "store/engine_store.hpp"
+#include "store/sharded_store.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
 #include "test_helpers.hpp"
@@ -258,6 +259,13 @@ TEST(EngineStore, CreateRefusesExistingStore) {
   ScopedTempDir dir("store");
   const core::RbacDataset dataset = figure1_dataset();
   (void)EngineStore::create(dir.path(), dataset, {});
+  EXPECT_THROW((void)EngineStore::create(dir.path(), dataset, {}), StoreError);
+}
+
+TEST(EngineStore, CreateRefusesAShardedStore) {
+  ScopedTempDir dir("store");
+  const core::RbacDataset dataset = figure1_dataset();
+  (void)ShardedEngineStore::create(dir.path(), dataset, 2, {});
   EXPECT_THROW((void)EngineStore::create(dir.path(), dataset, {}), StoreError);
 }
 

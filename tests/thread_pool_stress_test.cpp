@@ -10,17 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "cluster/hnsw.hpp"
 #include "core/methods/approx.hpp"
 #include "core/methods/cooccurrence.hpp"
 #include "core/methods/exact.hpp"
 #include "core/methods/minhash_lsh.hpp"
-#include "core/methods/method_common.hpp"
 #include "gen/matrix_generator.hpp"
 #include "util/thread_pool.hpp"
 
@@ -237,45 +234,13 @@ TEST(FinderDeterminism, MinHashInvariantUnderThreadCount) {
 
 TEST(FinderDeterminism, HnswInvariantUnderThreadCount) {
   const linalg::CsrMatrix m = determinism_workload();
-  // Serial index build (the default): only the query fan-out parallelizes,
-  // and its unions are order-independent.
+  // Serial index build: only the query fan-out parallelizes, and its
+  // unions are order-independent.
   expect_thread_invariant("hnsw serial-build find_similar t=1", [&](std::size_t threads) {
     core::methods::HnswGroupFinder::Options options;
     options.threads = threads;
     return core::methods::HnswGroupFinder(options).find_similar(m, 1);
   });
-  // Batched build: deterministic in (seed, batch_size), never in threads.
-  expect_thread_invariant("hnsw batched-build find_similar t=1", [&](std::size_t threads) {
-    core::methods::HnswGroupFinder::Options options;
-    options.threads = threads;
-    options.build_batch = 64;
-    return core::methods::HnswGroupFinder(options).find_similar(m, 1);
-  });
-}
-
-TEST(FinderDeterminism, BatchedHnswIndexIsIdenticalAcrossThreadCounts) {
-  const linalg::CsrMatrix m = determinism_workload();
-  const std::vector<std::size_t> selected = core::methods::nonempty_rows(m);
-  const linalg::BitMatrix dense = core::methods::densify_rows(m, selected);
-
-  auto build = [&](std::size_t threads) {
-    auto index = std::make_unique<cluster::HnswIndex>(dense, cluster::HnswParams{});
-    index->add_all_parallel(threads, 32);
-    return index;
-  };
-  const auto baseline = build(1);
-  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const auto index = build(threads);
-    ASSERT_EQ(index->size(), baseline->size());
-    EXPECT_EQ(index->max_level(), baseline->max_level());
-    EXPECT_EQ(index->entry_id(), baseline->entry_id());
-    for (std::size_t id = 0; id < dense.rows(); ++id) {
-      for (int layer = 0; layer <= baseline->max_level(); ++layer) {
-        EXPECT_EQ(index->neighbors_of(id, layer), baseline->neighbors_of(id, layer))
-            << "node " << id << ", layer " << layer << ", threads " << threads;
-      }
-    }
-  }
 }
 
 }  // namespace
