@@ -274,24 +274,6 @@ void AuditEngine::set_time_budget(double seconds) {
   options_.time_budget_s = seconds;
 }
 
-void AuditEngine::rebuild_matrices() {
-  const std::size_t num_roles = state_.num_roles();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> user_edges;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> perm_edges;
-  for (std::size_t r = 0; r < num_roles; ++r) {
-    const auto role = static_cast<Id>(r);
-    for (Id u : state_.users_of_role(role)) {
-      user_edges.emplace_back(static_cast<std::uint32_t>(r), u);
-    }
-    for (Id p : state_.permissions_of_role(role)) {
-      perm_edges.emplace_back(static_cast<std::uint32_t>(r), p);
-    }
-  }
-  ruam_ = linalg::CsrMatrix::from_pairs(num_roles, state_.num_users(), std::move(user_edges));
-  rpam_ = linalg::CsrMatrix::from_pairs(num_roles, state_.num_permissions(),
-                                        std::move(perm_edges));
-}
-
 std::size_t AuditEngine::similar_threshold_scaled() const {
   return options_.similarity_mode == SimilarityMode::kJaccard
              ? jaccard_threshold(options_.jaccard_dissimilarity)
@@ -568,7 +550,8 @@ AuditReport AuditEngine::reaudit() {
     util::Stopwatch watch;
     // Compiling RUAM/RPAM from the live state is part of this phase, exactly
     // as dataset.ruam()/rpam() compilation was in the one-shot audit.
-    rebuild_matrices();
+    ruam_ = state_.compile_ruam();
+    rpam_ = state_.compile_rpam();
     report.num_user_assignments = ruam_.nnz();
     report.num_permission_grants = rpam_.nnz();
     report.structural = state_.structural();

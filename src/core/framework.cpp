@@ -10,7 +10,6 @@
 #include "core/methods/cooccurrence.hpp"
 #include "core/methods/exact.hpp"
 #include "core/methods/minhash_lsh.hpp"
-#include "util/logger.hpp"
 #include "util/timer.hpp"
 
 namespace rolediet::core {
@@ -153,10 +152,7 @@ AuditReport audit(const RbacDataset& dataset, const AuditOptions& options) {
   // wrapper is behavior- and byte-compatible with the historical one-shot
   // implementation.
   AuditEngine engine(dataset, options);
-  AuditReport report = engine.reaudit();
-  ROLEDIET_LOG_INFO("audit finished in %.3f s (method %s)", report.total_seconds(),
-                    report.method_name.c_str());
-  return report;
+  return engine.reaudit();
 }
 
 }  // namespace rolediet::core

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/prng.hpp"
+#include "linalg/csr_matrix.hpp"
 
 namespace rolediet::core {
 
@@ -22,88 +22,47 @@ void IncrementalAuditor::AxisIndex::erase(std::size_t role, std::uint64_t digest
 
 // ---------------------------------------------------------- constructor ---
 
-IncrementalAuditor::IncrementalAuditor(const RbacDataset& snapshot) {
-  for (std::size_t u = 0; u < snapshot.num_users(); ++u)
-    add_user(snapshot.user_name(static_cast<Id>(u)));
-  for (std::size_t p = 0; p < snapshot.num_permissions(); ++p)
-    add_permission(snapshot.permission_name(static_cast<Id>(p)));
-  for (std::size_t r = 0; r < snapshot.num_roles(); ++r)
-    add_role(snapshot.role_name(static_cast<Id>(r)));
-  for (std::size_t r = 0; r < snapshot.num_roles(); ++r) {
-    for (std::uint32_t u : snapshot.users_of_role(static_cast<Id>(r)))
-      assign_user(static_cast<Id>(r), u);
-    for (std::uint32_t p : snapshot.permissions_of_role(static_cast<Id>(r)))
-      grant_permission(static_cast<Id>(r), p);
+IncrementalAuditor::IncrementalAuditor(const RbacDataset& snapshot)
+    : user_names_(snapshot.user_table()),
+      role_names_(snapshot.role_table()),
+      perm_names_(snapshot.permission_table()),
+      roles_(snapshot.num_roles()),
+      user_degree_(snapshot.ruam().column_sums()),
+      perm_degree_(snapshot.rpam().column_sums()) {
+  const linalg::CsrMatrix& ruam = snapshot.ruam();
+  const linalg::CsrMatrix& rpam = snapshot.rpam();
+  for (std::size_t r = 0; r < roles_.size(); ++r) {
+    const auto users = ruam.row(r);
+    const auto perms = rpam.row(r);
+    roles_[r].users.assign(users.begin(), users.end());
+    roles_[r].perms.assign(perms.begin(), perms.end());
+    // Empty sets are not indexed (empty roles are type-2 findings).
+    if (!users.empty()) user_axis_.insert(r, linalg::csr_row_digest(users));
+    if (!perms.empty()) perm_axis_.insert(r, linalg::csr_row_digest(perms));
   }
 }
 
 // -------------------------------------------------------------- entities ---
 
-namespace {
-
-Id intern(std::string name, auto& names, auto& ids) {
-  if (auto it = ids.find(name); it != ids.end()) return it->second;
-  const Id id = static_cast<Id>(names.size());
-  ids.emplace(name, id);
-  names.push_back(std::move(name));
-  return id;
-}
-
-}  // namespace
-
 Id IncrementalAuditor::add_user(std::string name) {
-  const Id id = intern(std::move(name), user_names_, user_ids_);
-  if (id == user_degree_.size()) user_degree_.push_back(0);
+  const auto [id, added] = user_names_.intern(std::move(name));
+  if (added) user_degree_.push_back(0);
   return id;
 }
 
 Id IncrementalAuditor::add_permission(std::string name) {
-  const Id id = intern(std::move(name), perm_names_, perm_ids_);
-  if (id == perm_degree_.size()) perm_degree_.push_back(0);
+  const auto [id, added] = perm_names_.intern(std::move(name));
+  if (added) perm_degree_.push_back(0);
   return id;
 }
 
 Id IncrementalAuditor::add_role(std::string name) {
-  if (auto it = role_ids_.find(name); it != role_ids_.end()) return it->second;
-  const Id id = static_cast<Id>(roles_.size());
-  role_ids_.emplace(name, id);
-  roles_.push_back(RoleState{.name = std::move(name), .users = {}, .perms = {}});
+  const auto [id, added] = role_names_.intern(std::move(name));
+  if (added) roles_.emplace_back();
   return id;
 }
 
-namespace {
-
-std::optional<Id> lookup(const std::unordered_map<std::string, Id>& ids,
-                         const std::string& name) {
-  const auto it = ids.find(name);
-  if (it == ids.end()) return std::nullopt;
-  return it->second;
-}
-
-}  // namespace
-
-std::optional<Id> IncrementalAuditor::find_user(const std::string& name) const {
-  return lookup(user_ids_, name);
-}
-
-std::optional<Id> IncrementalAuditor::find_role(const std::string& name) const {
-  return lookup(role_ids_, name);
-}
-
-std::optional<Id> IncrementalAuditor::find_permission(const std::string& name) const {
-  return lookup(perm_ids_, name);
-}
-
 // ----------------------------------------------------------------- edges ---
-
-std::uint64_t IncrementalAuditor::digest_of(const std::vector<Id>& sorted_ids) {
-  std::uint64_t h = 0x243F6A8885A308D3ULL;
-  for (Id c : sorted_ids) {
-    h ^= util::mix64(static_cast<std::uint64_t>(c) + 0x9E3779B97F4A7C15ULL);
-    h *= 0x100000001B3ULL;
-  }
-  return h ^ util::mix64(sorted_ids.size());
-}
 
 bool IncrementalAuditor::mutate(Id role, Id entity, std::vector<Id> RoleState::* axis,
                                 AxisIndex& index, std::vector<std::size_t>& degrees,
@@ -118,7 +77,7 @@ bool IncrementalAuditor::mutate(Id role, Id entity, std::vector<Id> RoleState::*
   if (add == present) return false;  // already in the requested state
 
   // Re-index: empty sets are not indexed (empty roles are type-2 findings).
-  if (!ids.empty()) index.erase(role, digest_of(ids));
+  if (!ids.empty()) index.erase(role, linalg::csr_row_digest(ids));
   if (add) {
     ids.insert(pos, entity);
     degrees[entity] += 1;
@@ -126,7 +85,7 @@ bool IncrementalAuditor::mutate(Id role, Id entity, std::vector<Id> RoleState::*
     ids.erase(pos);
     degrees[entity] -= 1;
   }
-  if (!ids.empty()) index.insert(role, digest_of(ids));
+  if (!ids.empty()) index.insert(role, linalg::csr_row_digest(ids));
   return true;
 }
 
@@ -184,16 +143,31 @@ RoleGroups IncrementalAuditor::same_permission_groups(FinderWorkStats* work) con
       work);
 }
 
-RbacDataset IncrementalAuditor::snapshot() const {
-  RbacDataset out;
-  for (const std::string& name : user_names_) out.add_user(name);
-  for (const std::string& name : perm_names_) out.add_permission(name);
-  for (const RoleState& role : roles_) out.add_role(role.name);
-  for (std::size_t r = 0; r < roles_.size(); ++r) {
-    for (Id u : roles_[r].users) out.assign_user(static_cast<Id>(r), u);
-    for (Id p : roles_[r].perms) out.grant_permission(static_cast<Id>(r), p);
+linalg::CsrMatrix IncrementalAuditor::compile(std::vector<Id> RoleState::* axis,
+                                              std::size_t cols) const {
+  std::vector<std::size_t> row_ptr;
+  row_ptr.reserve(roles_.size() + 1);
+  row_ptr.push_back(0);
+  for (const RoleState& role : roles_) row_ptr.push_back(row_ptr.back() + (role.*axis).size());
+  std::vector<std::uint32_t> cols_idx;
+  cols_idx.reserve(row_ptr.back());
+  for (const RoleState& role : roles_) {
+    cols_idx.insert(cols_idx.end(), (role.*axis).begin(), (role.*axis).end());
   }
-  return out;
+  return linalg::CsrMatrix::from_csr(cols, std::move(row_ptr), std::move(cols_idx));
+}
+
+linalg::CsrMatrix IncrementalAuditor::compile_ruam() const {
+  return compile(&RoleState::users, num_users());
+}
+
+linalg::CsrMatrix IncrementalAuditor::compile_rpam() const {
+  return compile(&RoleState::perms, num_permissions());
+}
+
+RbacDataset IncrementalAuditor::snapshot() const {
+  return RbacDataset::from_compiled(user_names_, role_names_, perm_names_, compile_ruam(),
+                                    compile_rpam());
 }
 
 }  // namespace rolediet::core

@@ -26,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -38,7 +39,9 @@ namespace rolediet::core {
 
 class IncrementalAuditor {
  public:
-  /// Starts from an existing dataset (copies its structure).
+  /// Starts from an existing dataset, copying it in bulk: the three name
+  /// tables whole, every role's rows from the compiled RUAM/RPAM (sorted and
+  /// deduplicated), one degree pass per axis, one digest per non-empty row.
   explicit IncrementalAuditor(const RbacDataset& snapshot);
 
   /// Starts empty.
@@ -55,9 +58,15 @@ class IncrementalAuditor {
 
   /// Id lookup by exact name; nullopt when the name was never added. The
   /// journal applier uses these to make revocations of unknown names no-ops.
-  [[nodiscard]] std::optional<Id> find_user(const std::string& name) const;
-  [[nodiscard]] std::optional<Id> find_role(const std::string& name) const;
-  [[nodiscard]] std::optional<Id> find_permission(const std::string& name) const;
+  [[nodiscard]] std::optional<Id> find_user(std::string_view name) const {
+    return user_names_.find(name);
+  }
+  [[nodiscard]] std::optional<Id> find_role(std::string_view name) const {
+    return role_names_.find(name);
+  }
+  [[nodiscard]] std::optional<Id> find_permission(std::string_view name) const {
+    return perm_names_.find(name);
+  }
 
   [[nodiscard]] std::size_t num_users() const noexcept { return user_names_.size(); }
   [[nodiscard]] std::size_t num_roles() const noexcept { return roles_.size(); }
@@ -65,10 +74,10 @@ class IncrementalAuditor {
 
   /// Name lookup by id (RbacDataset-compatible accessors; core/digest.hpp
   /// digests both representations through one template).
-  [[nodiscard]] const std::string& user_name(Id user) const { return user_names_.at(user); }
-  [[nodiscard]] const std::string& role_name(Id role) const { return roles_.at(role).name; }
+  [[nodiscard]] const std::string& user_name(Id user) const { return user_names_.name(user); }
+  [[nodiscard]] const std::string& role_name(Id role) const { return role_names_.name(role); }
   [[nodiscard]] const std::string& permission_name(Id perm) const {
-    return perm_names_.at(perm);
+    return perm_names_.name(perm);
   }
 
   /// Current sorted user / permission set of a role (live view; invalidated
@@ -103,8 +112,14 @@ class IncrementalAuditor {
   [[nodiscard]] RoleGroups same_user_groups(FinderWorkStats* work = nullptr) const;
   [[nodiscard]] RoleGroups same_permission_groups(FinderWorkStats* work = nullptr) const;
 
+  /// The current rows compiled as RUAM (roles x users) / RPAM (roles x
+  /// permissions): the sorted rows concatenated, with no pair list or sort.
+  [[nodiscard]] linalg::CsrMatrix compile_ruam() const;
+  [[nodiscard]] linalg::CsrMatrix compile_rpam() const;
+
   /// Materializes the current state as an immutable dataset (for batch
-  /// type-5 detection, consolidation, or export).
+  /// type-5 detection, consolidation, or export) in bulk: copies of the name
+  /// tables plus the compiled matrices (RbacDataset::from_compiled).
   [[nodiscard]] RbacDataset snapshot() const;
 
   /// snapshot() behind a stable shared handle — the dataset half of a
@@ -116,7 +131,6 @@ class IncrementalAuditor {
 
  private:
   struct RoleState {
-    std::string name;
     std::vector<Id> users;  ///< sorted
     std::vector<Id> perms;  ///< sorted
   };
@@ -164,20 +178,19 @@ class IncrementalAuditor {
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets_;
   };
 
-  [[nodiscard]] static std::uint64_t digest_of(const std::vector<Id>& sorted_ids);
-
   /// Applies a sorted-vector insert/erase and reindexes the role's digest on
   /// the given axis. Returns false when the edge state was already as
   /// requested.
   bool mutate(Id role, Id entity, std::vector<Id> RoleState::* axis, AxisIndex& index,
               std::vector<std::size_t>& degrees, bool add);
 
-  std::vector<RoleState> roles_;
-  std::vector<std::string> user_names_;
-  std::vector<std::string> perm_names_;
-  std::unordered_map<std::string, Id> user_ids_;
-  std::unordered_map<std::string, Id> role_ids_;
-  std::unordered_map<std::string, Id> perm_ids_;
+  [[nodiscard]] linalg::CsrMatrix compile(std::vector<Id> RoleState::* axis,
+                                          std::size_t cols) const;
+
+  NameTable user_names_;
+  NameTable role_names_;
+  NameTable perm_names_;
+  std::vector<RoleState> roles_;  ///< indexed by role id, parallel to role_names_
 
   std::vector<std::size_t> user_degree_;  ///< roles per user
   std::vector<std::size_t> perm_degree_;  ///< roles per permission

@@ -9,9 +9,11 @@
 // further.
 //
 // The dataset interns entity names to dense ids (users, roles, permissions
-// each get their own id space, 0-based) and compiles edge lists into sparse
-// matrices on demand. Mutation invalidates the compiled matrices; compilation
-// is cached until the next mutation.
+// each get their own id space, 0-based, one NameTable each) and compiles edge
+// lists into sparse matrices on demand. Mutation invalidates the compiled
+// matrices; compilation is cached until the next mutation. Engines hand their
+// state back in bulk (RbacDataset::from_compiled): whole name tables plus
+// already-compiled rows, with no re-interning and no compile sort.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +21,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,9 +35,47 @@ enum class NodeKind { kUser, kRole, kPermission };
 
 [[nodiscard]] std::string_view to_string(NodeKind kind) noexcept;
 
+/// The names of one entity kind in id order, plus an open-addressing index
+/// from name to id: power-of-two slots, linear probing, load at most 1/2.
+/// Ids are dense and append-only. A copy is two flat vector copies, which is
+/// what lets datasets and engines hand their names to each other in bulk.
+class NameTable {
+ public:
+  /// The name's id, and whether this call added it (false: already known).
+  std::pair<Id, bool> intern(std::string name);
+  /// Id of `name`; nullopt if unknown.
+  [[nodiscard]] std::optional<Id> find(std::string_view name) const noexcept;
+  /// Name of `id`; throws std::out_of_range on an unknown id.
+  [[nodiscard]] const std::string& name(Id id) const { return names_.at(id); }
+  [[nodiscard]] std::span<const std::string> names() const noexcept { return names_; }
+  [[nodiscard]] std::size_t size() const noexcept { return names_.size(); }
+  /// Makes room for `n` names without a further rehash.
+  void reserve(std::size_t n);
+
+ private:
+  static constexpr Id kEmptySlot = ~Id{0};
+  /// The slot holding `name`'s id, or the empty slot it would go in.
+  /// Precondition: slots_ is non-empty.
+  [[nodiscard]] std::size_t probe(std::string_view name) const noexcept;
+  void rehash(std::size_t slots);
+
+  std::vector<std::string> names_;
+  std::vector<Id> slots_;  ///< kEmptySlot or an id; size 0 or a power of two
+};
+
 class RbacDataset {
  public:
   RbacDataset() = default;
+
+  /// Builds a dataset in bulk from whole name tables and compiled RUAM/RPAM
+  /// (rows = roles, columns = users / permissions). The matrices become the
+  /// compiled caches and the raw edge lists are their rows in row order, so
+  /// the result equals adding every name and edge one call at a time. Row
+  /// validity is the matrices' own (CsrMatrix::from_csr); throws
+  /// std::invalid_argument when a matrix's shape disagrees with the tables.
+  [[nodiscard]] static RbacDataset from_compiled(NameTable users, NameTable roles,
+                                                 NameTable perms, linalg::CsrMatrix ruam,
+                                                 linalg::CsrMatrix rpam);
 
   // ---- entity management -------------------------------------------------
 
@@ -53,13 +92,18 @@ class RbacDataset {
   Id add_roles(std::size_t n, std::string_view prefix = "R");
   Id add_permissions(std::size_t n, std::string_view prefix = "P");
 
-  [[nodiscard]] std::size_t num_users() const noexcept { return user_names_.size(); }
-  [[nodiscard]] std::size_t num_roles() const noexcept { return role_names_.size(); }
-  [[nodiscard]] std::size_t num_permissions() const noexcept { return perm_names_.size(); }
+  [[nodiscard]] std::size_t num_users() const noexcept { return users_.size(); }
+  [[nodiscard]] std::size_t num_roles() const noexcept { return roles_.size(); }
+  [[nodiscard]] std::size_t num_permissions() const noexcept { return perms_.size(); }
 
-  [[nodiscard]] const std::string& user_name(Id user) const { return user_names_.at(user); }
-  [[nodiscard]] const std::string& role_name(Id role) const { return role_names_.at(role); }
-  [[nodiscard]] const std::string& permission_name(Id perm) const { return perm_names_.at(perm); }
+  [[nodiscard]] const std::string& user_name(Id user) const { return users_.name(user); }
+  [[nodiscard]] const std::string& role_name(Id role) const { return roles_.name(role); }
+  [[nodiscard]] const std::string& permission_name(Id perm) const { return perms_.name(perm); }
+
+  /// Whole name tables, for bulk copies into engine state.
+  [[nodiscard]] const NameTable& user_table() const noexcept { return users_; }
+  [[nodiscard]] const NameTable& role_table() const noexcept { return roles_; }
+  [[nodiscard]] const NameTable& permission_table() const noexcept { return perms_; }
 
   /// Id lookup by name; nullopt if unknown.
   [[nodiscard]] std::optional<Id> find_user(std::string_view name) const;
@@ -125,12 +169,9 @@ class RbacDataset {
     user_roles_cache_.reset();
   }
 
-  std::vector<std::string> user_names_;
-  std::vector<std::string> role_names_;
-  std::vector<std::string> perm_names_;
-  std::unordered_map<std::string, Id> user_ids_;
-  std::unordered_map<std::string, Id> role_ids_;
-  std::unordered_map<std::string, Id> perm_ids_;
+  NameTable users_;
+  NameTable roles_;
+  NameTable perms_;
 
   std::vector<std::pair<Id, Id>> role_user_edges_;  // (role, user)
   std::vector<std::pair<Id, Id>> role_perm_edges_;  // (role, permission)

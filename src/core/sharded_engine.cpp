@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "cluster/metric.hpp"
@@ -26,18 +27,17 @@ namespace {
   return static_cast<std::uint32_t>(util::mix64(col));
 }
 
-[[nodiscard]] Id interned(std::vector<std::string>& names,
-                          std::unordered_map<std::string, Id>& ids, std::string name,
-                          bool* added) {
-  if (const auto it = ids.find(name); it != ids.end()) {
-    *added = false;
-    return it->second;
+/// Interns a restore image's names in id order; a repeated name means the
+/// image was not written by an engine.
+[[nodiscard]] NameTable restored_names(std::vector<std::string> names) {
+  NameTable table;
+  table.reserve(names.size());
+  for (std::string& name : names) {
+    if (!table.intern(std::move(name)).second) {
+      throw std::invalid_argument("ShardedEngine: duplicate entity names in restore image");
+    }
   }
-  const Id id = static_cast<Id>(names.size());
-  ids.emplace(name, id);
-  names.push_back(std::move(name));
-  *added = true;
-  return id;
+  return table;
 }
 
 }  // namespace
@@ -46,25 +46,12 @@ namespace {
 
 ShardedEngine::ShardedEngine(const RbacDataset& snapshot, std::size_t shards,
                              AuditOptions options)
-    : options_(options) {
+    : options_(options),
+      user_names_(snapshot.user_table()),
+      role_names_(snapshot.role_table()),
+      perm_names_(snapshot.permission_table()) {
   validate_audit_options(options_);
   if (shards == 0) throw std::invalid_argument("ShardedEngine: shards must be >= 1");
-
-  user_names_.reserve(snapshot.num_users());
-  for (std::size_t u = 0; u < snapshot.num_users(); ++u) {
-    user_ids_.emplace(snapshot.user_name(static_cast<Id>(u)), static_cast<Id>(u));
-    user_names_.push_back(snapshot.user_name(static_cast<Id>(u)));
-  }
-  perm_names_.reserve(snapshot.num_permissions());
-  for (std::size_t p = 0; p < snapshot.num_permissions(); ++p) {
-    perm_ids_.emplace(snapshot.permission_name(static_cast<Id>(p)), static_cast<Id>(p));
-    perm_names_.push_back(snapshot.permission_name(static_cast<Id>(p)));
-  }
-  role_names_.reserve(snapshot.num_roles());
-  for (std::size_t r = 0; r < snapshot.num_roles(); ++r) {
-    role_ids_.emplace(snapshot.role_name(static_cast<Id>(r)), static_cast<Id>(r));
-    role_names_.push_back(snapshot.role_name(static_cast<Id>(r)));
-  }
 
   initial_roles_ = role_names_.size();
   shards_.resize(shards);
@@ -100,22 +87,14 @@ ShardedEngine::ShardedEngine(std::vector<std::string> user_names,
                              std::uint64_t version, std::uint64_t audits, AuditOptions options)
     : options_(options),
       initial_roles_(initial_roles),
-      user_names_(std::move(user_names)),
-      role_names_(std::move(role_names)),
-      perm_names_(std::move(perm_names)),
+      user_names_(restored_names(std::move(user_names))),
+      role_names_(restored_names(std::move(role_names))),
+      perm_names_(restored_names(std::move(perm_names))),
       version_(version),
       audits_(audits) {
   validate_audit_options(options_);
   if (images.empty()) throw std::invalid_argument("ShardedEngine: no shard images");
   shards_.resize(images.size());
-
-  for (Id u = 0; u < user_names_.size(); ++u) user_ids_.emplace(user_names_[u], u);
-  for (Id r = 0; r < role_names_.size(); ++r) role_ids_.emplace(role_names_[r], r);
-  for (Id p = 0; p < perm_names_.size(); ++p) perm_ids_.emplace(perm_names_[p], p);
-  if (user_ids_.size() != user_names_.size() || role_ids_.size() != role_names_.size() ||
-      perm_ids_.size() != perm_names_.size()) {
-    throw std::invalid_argument("ShardedEngine: duplicate entity names in restore image");
-  }
 
   const std::size_t num_roles = role_names_.size();
   owner_.assign(num_roles, 0);
@@ -262,8 +241,7 @@ bool ShardedEngine::mutate_edge(AxisKind axis, Id role, Id entity, bool add) {
 // --------------------------------------------------------------- mutations --
 
 Id ShardedEngine::add_user(std::string name) {
-  bool added = false;
-  const Id id = interned(user_names_, user_ids_, std::move(name), &added);
+  const auto [id, added] = user_names_.intern(std::move(name));
   if (added) {
     user_degree_.push_back(0);
     ++version_;
@@ -272,8 +250,7 @@ Id ShardedEngine::add_user(std::string name) {
 }
 
 Id ShardedEngine::add_permission(std::string name) {
-  bool added = false;
-  const Id id = interned(perm_names_, perm_ids_, std::move(name), &added);
+  const auto [id, added] = perm_names_.intern(std::move(name));
   if (added) {
     perm_degree_.push_back(0);
     ++version_;
@@ -282,8 +259,7 @@ Id ShardedEngine::add_permission(std::string name) {
 }
 
 Id ShardedEngine::add_role(std::string name) {
-  bool added = false;
-  const Id id = interned(role_names_, role_ids_, std::move(name), &added);
+  const auto [id, added] = role_names_.intern(std::move(name));
   if (added) {
     register_role_storage(id);
     ++version_;
@@ -365,24 +341,6 @@ void ShardedEngine::apply(const RbacDelta& delta) {
 
 // ----------------------------------------------------------------- lookups --
 
-std::optional<Id> ShardedEngine::find_user(const std::string& name) const {
-  const auto it = user_ids_.find(name);
-  if (it == user_ids_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::optional<Id> ShardedEngine::find_role(const std::string& name) const {
-  const auto it = role_ids_.find(name);
-  if (it == role_ids_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::optional<Id> ShardedEngine::find_permission(const std::string& name) const {
-  const auto it = perm_ids_.find(name);
-  if (it == perm_ids_.end()) return std::nullopt;
-  return it->second;
-}
-
 std::span<const Id> ShardedEngine::users_of_role(Id role) const {
   if (role >= role_names_.size()) throw std::out_of_range("ShardedEngine: unknown role id");
   return row(AxisKind::kUsers, role);
@@ -393,16 +351,24 @@ std::span<const Id> ShardedEngine::permissions_of_role(Id role) const {
   return row(AxisKind::kPerms, role);
 }
 
-RbacDataset ShardedEngine::snapshot() const {
-  RbacDataset out;
-  for (const std::string& name : user_names_) out.add_user(name);
-  for (const std::string& name : role_names_) out.add_role(name);
-  for (const std::string& name : perm_names_) out.add_permission(name);
+linalg::CsrMatrix ShardedEngine::compile(AxisKind axis) const {
+  std::vector<std::size_t> row_ptr{0};
+  row_ptr.reserve(role_names_.size() + 1);
+  std::vector<std::uint32_t> cols_idx;
+  cols_idx.reserve(axis == AxisKind::kUsers ? total_assignments_ : total_grants_);
   for (Id gid = 0; gid < role_names_.size(); ++gid) {
-    for (Id u : row(AxisKind::kUsers, gid)) out.assign_user(gid, u);
-    for (Id p : row(AxisKind::kPerms, gid)) out.grant_permission(gid, p);
+    const auto cells = row(axis, gid);
+    cols_idx.insert(cols_idx.end(), cells.begin(), cells.end());
+    row_ptr.push_back(cols_idx.size());
   }
-  return out;
+  return linalg::CsrMatrix::from_csr(
+      axis == AxisKind::kUsers ? user_names_.size() : perm_names_.size(), std::move(row_ptr),
+      std::move(cols_idx));
+}
+
+RbacDataset ShardedEngine::snapshot() const {
+  return RbacDataset::from_compiled(user_names_, role_names_, perm_names_,
+                                    compile(AxisKind::kUsers), compile(AxisKind::kPerms));
 }
 
 ShardedEngine::ShardExport ShardedEngine::export_shard(std::size_t s) const {
@@ -433,9 +399,9 @@ std::uint64_t ShardedEngine::content_digest() const {
   d.u64(user_names_.size());
   d.u64(role_names_.size());
   d.u64(perm_names_.size());
-  for (const std::string& name : user_names_) d.str(name);
-  for (const std::string& name : role_names_) d.str(name);
-  for (const std::string& name : perm_names_) d.str(name);
+  for (const std::string& name : user_names_.names()) d.str(name);
+  for (const std::string& name : role_names_.names()) d.str(name);
+  for (const std::string& name : perm_names_.names()) d.str(name);
   for (Id gid = 0; gid < role_names_.size(); ++gid) {
     const auto users = row(AxisKind::kUsers, gid);
     d.u64(users.size());

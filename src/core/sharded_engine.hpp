@@ -40,7 +40,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.hpp"  // RbacDelta / Mutation
@@ -151,18 +151,24 @@ class ShardedEngine {
 
   // ---- lookups ------------------------------------------------------------
 
-  [[nodiscard]] std::optional<Id> find_user(const std::string& name) const;
-  [[nodiscard]] std::optional<Id> find_role(const std::string& name) const;
-  [[nodiscard]] std::optional<Id> find_permission(const std::string& name) const;
+  [[nodiscard]] std::optional<Id> find_user(std::string_view name) const {
+    return user_names_.find(name);
+  }
+  [[nodiscard]] std::optional<Id> find_role(std::string_view name) const {
+    return role_names_.find(name);
+  }
+  [[nodiscard]] std::optional<Id> find_permission(std::string_view name) const {
+    return perm_names_.find(name);
+  }
 
   [[nodiscard]] std::size_t num_users() const noexcept { return user_names_.size(); }
   [[nodiscard]] std::size_t num_roles() const noexcept { return role_names_.size(); }
   [[nodiscard]] std::size_t num_permissions() const noexcept { return perm_names_.size(); }
 
-  [[nodiscard]] const std::string& user_name(Id user) const { return user_names_.at(user); }
-  [[nodiscard]] const std::string& role_name(Id role) const { return role_names_.at(role); }
+  [[nodiscard]] const std::string& user_name(Id user) const { return user_names_.name(user); }
+  [[nodiscard]] const std::string& role_name(Id role) const { return role_names_.name(role); }
   [[nodiscard]] const std::string& permission_name(Id perm) const {
-    return perm_names_.at(perm);
+    return perm_names_.name(perm);
   }
 
   /// Current sorted user / permission set of a role (live until the role's
@@ -187,10 +193,14 @@ class ShardedEngine {
   /// Materializes shard `s`'s current rows for a checkpoint.
   [[nodiscard]] ShardExport export_shard(std::size_t s) const;
 
-  [[nodiscard]] std::span<const std::string> user_names() const noexcept { return user_names_; }
-  [[nodiscard]] std::span<const std::string> role_names() const noexcept { return role_names_; }
+  [[nodiscard]] std::span<const std::string> user_names() const noexcept {
+    return user_names_.names();
+  }
+  [[nodiscard]] std::span<const std::string> role_names() const noexcept {
+    return role_names_.names();
+  }
   [[nodiscard]] std::span<const std::string> permission_names() const noexcept {
-    return perm_names_;
+    return perm_names_.names();
   }
 
  private:
@@ -216,6 +226,8 @@ class ShardedEngine {
   /// Copy-on-write: the mutable overlay row for `role` on `axis`.
   [[nodiscard]] std::vector<Id>& mutable_row(AxisKind axis, Id role);
   bool mutate_edge(AxisKind axis, Id role, Id entity, bool add);
+  /// One axis' current rows over every role, as a compiled matrix.
+  [[nodiscard]] linalg::CsrMatrix compile(AxisKind axis) const;
 
   [[nodiscard]] std::uint64_t content_digest() const;
   [[nodiscard]] StructuralFindings structural() const;
@@ -232,12 +244,9 @@ class ShardedEngine {
   AuditOptions options_;
   std::size_t initial_roles_ = 0;  ///< construction-time role count (range split)
 
-  std::vector<std::string> user_names_;
-  std::vector<std::string> role_names_;
-  std::vector<std::string> perm_names_;
-  std::unordered_map<std::string, Id> user_ids_;
-  std::unordered_map<std::string, Id> role_ids_;
-  std::unordered_map<std::string, Id> perm_ids_;
+  NameTable user_names_;
+  NameTable role_names_;
+  NameTable perm_names_;
 
   std::vector<std::uint32_t> owner_;  ///< per role: owning shard
   std::vector<std::uint32_t> local_;  ///< per role: index within its shard

@@ -16,9 +16,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/digest.hpp"
 #include "core/engine.hpp"
 #include "core/framework.hpp"
 #include "core/methods/exact.hpp"
+#include "core/sharded_engine.hpp"
 #include "fig3_workload.hpp"
 #include "io/csv.hpp"
 #include "io/journal.hpp"
@@ -379,6 +381,39 @@ TEST(Engine, RejectsInvalidOptions) {
   bad = AuditOptions{};
   bad.time_budget_s = -1.0;
   EXPECT_THROW(AuditEngine(d, bad), std::invalid_argument);
+}
+
+TEST(Engine, DatasetDigestIsPinned) {
+  // Every report carries dataset_digest and stores compare it, so its value
+  // is a compatibility contract, not just a relative check: a refactor that
+  // reorders names or rows must fail here. Hostile names (comma, quote,
+  // newline, non-ASCII, empty), a repeated raw edge, a role without users
+  // and a standalone permission.
+  core::RbacDataset d;
+  const core::Id pat = d.add_user("o'brien, pat");
+  const core::Id nobody = d.add_user("");
+  const core::Id ana = d.add_user("ana");
+  const core::Id ops = d.add_role("ops\nadmins");
+  const core::Id cafe = d.add_role("caf\xC3\xA9");
+  const core::Id quoted = d.add_role("\"quoted\"");
+  const core::Id get = d.add_permission("s3:Get");
+  const core::Id put = d.add_permission("s3:Put,Delete");
+  d.add_permission("orphan");
+  d.assign_user(cafe, nobody);
+  d.assign_user(ops, ana);
+  d.assign_user(ops, pat);
+  d.assign_user(ops, ana);  // repeated raw edge
+  d.grant_permission(quoted, get);
+  d.grant_permission(ops, put);
+  d.grant_permission(ops, get);
+  d.grant_permission(cafe, put);
+
+  constexpr std::uint64_t kPinned = 0x803314BCD804D2B4ULL;  // stored digests depend on it
+  EXPECT_EQ(core::dataset_content_digest(d), kPinned);
+  EXPECT_EQ(core::dataset_content_digest(core::IncrementalAuditor(d)), kPinned);
+  EXPECT_EQ(core::audit(d).dataset_digest, kPinned);
+  EXPECT_EQ(core::dataset_content_digest(AuditEngine(d).snapshot()), kPinned);
+  EXPECT_EQ(core::ShardedEngine(d, 3).reaudit().dataset_digest, kPinned);
 }
 
 // ---------------------------------------------------------------- journal ---
