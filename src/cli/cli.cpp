@@ -17,6 +17,7 @@
 #include "gen/churn.hpp"
 #include "gen/matrix_generator.hpp"
 #include "gen/org_simulator.hpp"
+#include "gen/trace.hpp"
 #include "io/binary.hpp"
 #include "io/csv.hpp"
 #include "io/journal.hpp"
@@ -484,60 +485,6 @@ int cmd_recover(Args& args, std::ostream& out) {
 
 // ----------------------------------------------------------------- serve ---
 
-/// A name-based trace of `count` effective single mutations (alternating
-/// revocations of existing edges and fresh additions), validated against a
-/// scratch engine so no-ops don't count. Same recipe as the tests' build_trace
-/// (tests/fig3_workload.hpp).
-std::vector<core::Mutation> build_serve_trace(const core::RbacDataset& base, std::size_t count,
-                                              util::Xoshiro256& rng) {
-  std::vector<std::pair<core::Id, core::Id>> user_edges, perm_edges;
-  for (std::size_t r = 0; r < base.num_roles(); ++r) {
-    for (std::uint32_t u : base.ruam().row(r))
-      user_edges.emplace_back(static_cast<core::Id>(r), u);
-    for (std::uint32_t p : base.rpam().row(r))
-      perm_edges.emplace_back(static_cast<core::Id>(r), p);
-  }
-  const auto users = static_cast<core::Id>(base.num_users());
-  const auto perms = static_cast<core::Id>(base.num_permissions());
-  const auto roles = static_cast<core::Id>(base.num_roles());
-  if (roles == 0 || users == 0 || perms == 0)
-    throw UsageError("serve: dataset needs at least one user, role, and permission");
-
-  core::AuditEngine scratch(base, {});
-  std::vector<core::Mutation> trace;
-  while (trace.size() < count) {
-    const std::uint64_t before = scratch.version();
-    core::RbacDelta one;
-    switch (trace.size() % 4) {
-      case 0:
-        if (!user_edges.empty()) {
-          const auto& [r, u] = user_edges[rng.bounded(user_edges.size())];
-          one.revoke_user(base.role_name(r), base.user_name(u));
-          break;
-        }
-        [[fallthrough]];
-      case 1:
-        one.assign_user(base.role_name(static_cast<core::Id>(rng.bounded(roles))),
-                        base.user_name(static_cast<core::Id>(rng.bounded(users))));
-        break;
-      case 2:
-        if (!perm_edges.empty()) {
-          const auto& [r, p] = perm_edges[rng.bounded(perm_edges.size())];
-          one.revoke_permission(base.role_name(r), base.permission_name(p));
-          break;
-        }
-        [[fallthrough]];
-      default:
-        one.grant_permission(base.role_name(static_cast<core::Id>(rng.bounded(roles))),
-                             base.permission_name(static_cast<core::Id>(rng.bounded(perms))));
-        break;
-    }
-    scratch.apply(one);
-    if (scratch.version() != before) trace.push_back(std::move(one.mutations.front()));
-  }
-  return trace;
-}
-
 int cmd_serve(Args& args, std::ostream& out) {
   const core::AuditOptions options = parse_audit_options(args);
   const store::StoreOptions store_options = parse_store_options(args);
@@ -571,9 +518,10 @@ int cmd_serve(Args& args, std::ostream& out) {
   if (!args.done()) throw UsageError("serve: unexpected argument '" + args.peek() + "'");
 
   const core::RbacDataset dataset = io::load_dataset(dir);
-  util::Xoshiro256 rng(0x5E12E);
+  if (dataset.num_users() == 0 || dataset.num_roles() == 0 || dataset.num_permissions() == 0)
+    throw UsageError("serve: dataset needs at least one user, role, and permission");
   const std::vector<core::Mutation> trace =
-      build_serve_trace(dataset, batches * batch_size, rng);
+      gen::effective_trace(dataset, batches * batch_size, 0x5E12E);
 
   service::AuditService svc(store_dir, dataset, options, service_options, store_options);
   out << "serve: store " << store_dir << " (" << layout_label(service_options.shards)

@@ -20,10 +20,8 @@
 namespace rolediet::core {
 
 /// FNV-1a with length-prefixed fields, so ("ab", "c") and ("a", "bc") feed
-/// different byte streams. Same constants as the io/binary checksum. Public
-/// so any holder of the canonical state — RbacDataset, IncrementalAuditor,
-/// or the sharded engine streaming rows out of per-shard storage — can fold
-/// the exact same byte stream and land on the same digest.
+/// different byte streams. Same constants as the io/binary checksum; the
+/// sharded store's body files (store/body.hpp) checksum their bytes with it.
 class ContentDigest {
  public:
   void bytes(const void* data, std::size_t size) noexcept {

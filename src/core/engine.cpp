@@ -164,39 +164,7 @@ bool AuditEngine::revoke_permission(Id role, Id perm) {
   return changed;
 }
 
-void AuditEngine::apply(const RbacDelta& delta) {
-  for (const Mutation& m : delta.mutations) {
-    switch (m.kind) {
-      case MutationKind::kAddUser:
-        add_user(m.entity);
-        break;
-      case MutationKind::kAddRole:
-        add_role(m.entity);
-        break;
-      case MutationKind::kAddPermission:
-        add_permission(m.entity);
-        break;
-      case MutationKind::kAssignUser:
-        assign_user(add_role(m.role), add_user(m.entity));
-        break;
-      case MutationKind::kGrantPermission:
-        grant_permission(add_role(m.role), add_permission(m.entity));
-        break;
-      case MutationKind::kRevokeUser: {
-        const std::optional<Id> role = state_.find_role(m.role);
-        const std::optional<Id> user = state_.find_user(m.entity);
-        if (role && user) revoke_user(*role, *user);
-        break;
-      }
-      case MutationKind::kRevokePermission: {
-        const std::optional<Id> role = state_.find_role(m.role);
-        const std::optional<Id> perm = state_.find_permission(m.entity);
-        if (role && perm) revoke_permission(*role, *perm);
-        break;
-      }
-    }
-  }
-}
+void AuditEngine::apply(const RbacDelta& delta) { apply_delta(*this, delta); }
 
 std::size_t AuditEngine::dirty_roles() const noexcept {
   const std::size_t n = std::max(users_axis_.dirty.size(), perms_axis_.dirty.size());
@@ -274,12 +242,6 @@ void AuditEngine::set_time_budget(double seconds) {
   options_.time_budget_s = seconds;
 }
 
-std::size_t AuditEngine::similar_threshold_scaled() const {
-  return options_.similarity_mode == SimilarityMode::kJaccard
-             ? jaccard_threshold(options_.jaccard_dissimilarity)
-             : options_.similarity_threshold;
-}
-
 bool AuditEngine::cacheable_exact() const {
   // A similar phase is pair-cacheable only when its batch finder routes
   // through the pair pipeline for the whole matched set. Degenerate
@@ -345,7 +307,7 @@ RoleGroups AuditEngine::delta_similar(Axis& axis, const linalg::CsrMatrix& matri
   const std::vector<std::size_t> dirty = dirty_list(axis.dirty);
   const linalg::RowStore store(matrix);  // sparse kernels; verdicts are backend-invariant
   const bool jaccard_mode = options_.similarity_mode == SimilarityMode::kJaccard;
-  const std::size_t thr = similar_threshold_scaled();
+  const std::size_t thr = similar_threshold_scaled(options_);
   const cluster::MetricKind metric =
       jaccard_mode ? cluster::MetricKind::kJaccard : cluster::MetricKind::kHamming;
   auto is_dirty = [&axis](std::size_t j) { return j < axis.dirty.size() && axis.dirty[j] != 0; };
@@ -472,7 +434,7 @@ RoleGroups AuditEngine::hnsw_delta_similar(Axis& axis, const linalg::CsrMatrix& 
                                            FinderWorkStats& work) {
   const std::vector<std::size_t> dirty = dirty_list(axis.dirty);
   const bool jaccard_mode = options_.similarity_mode == SimilarityMode::kJaccard;
-  const std::size_t thr = similar_threshold_scaled();
+  const std::size_t thr = similar_threshold_scaled(options_);
   const cluster::MetricKind metric =
       jaccard_mode ? cluster::MetricKind::kJaccard : cluster::MetricKind::kHamming;
 
@@ -529,22 +491,11 @@ RoleGroups AuditEngine::hnsw_delta_similar(Axis& axis, const linalg::CsrMatrix& 
 
 AuditReport AuditEngine::reaudit() {
   const util::ExecutionContext ctx(options_.time_budget_s);
-  AuditReport report;
-  report.num_users = state_.num_users();
-  report.num_roles = state_.num_roles();
-  report.num_permissions = state_.num_permissions();
-  report.similarity_threshold = options_.similarity_threshold;
-  report.similarity_mode = options_.similarity_mode;
-  report.jaccard_dissimilarity = options_.jaccard_dissimilarity;
-  report.options = options_;
-  report.engine_version = version_;
-  report.dataset_digest = dataset_content_digest(state_);
-
   GroupFinderOptions finder_options;
   finder_options.threads = options_.threads;
   finder_options.backend = options_.backend;
   const std::unique_ptr<GroupFinder> finder = make_group_finder(options_.method, finder_options);
-  report.method_name = finder->name();
+  AuditReport report = report_preamble(state_, options_, version_, *finder);
 
   {
     util::Stopwatch watch;
@@ -558,32 +509,17 @@ AuditReport AuditEngine::reaudit() {
     report.structural_time.seconds = watch.seconds();
   }
 
-  // One deadline covers the whole re-audit; phases that never start are
-  // skipped (timed-out, zero seconds), phases the budget stops mid-flight
-  // report partial groups (see framework.hpp). Returns whether the phase ran.
-  auto run_phase = [&](PhaseTiming& timing, RoleGroups& out, auto&& compute) -> bool {
-    if (ctx.expired()) {
-      timing.timed_out = true;
-      return false;
-    }
-    util::Stopwatch watch;
-    out = compute(ctx);
-    timing.seconds = watch.seconds();
-    timing.timed_out = ctx.interrupted();
-    return true;
-  };
-
   // ---- type 4 -------------------------------------------------------------
   if (!audited_once_) {
     // First pass: the configured batch finder, so audit() == reaudit() #1
     // holds for every method including the approximate ones.
-    run_phase(report.same_users_time, report.same_user_groups,
+    run_phase(ctx, report.same_users_time, report.same_user_groups,
               [&](const util::ExecutionContext& c) {
                 RoleGroups groups = finder->find_same(ruam_, c);
                 report.same_users_work = finder->last_work();
                 return groups;
               });
-    run_phase(report.same_permissions_time, report.same_permission_groups,
+    run_phase(ctx, report.same_permissions_time, report.same_permission_groups,
               [&](const util::ExecutionContext& c) {
                 RoleGroups groups = finder->find_same(rpam_, c);
                 report.same_permissions_work = finder->last_work();
@@ -593,11 +529,11 @@ AuditReport AuditEngine::reaudit() {
     // Steady state: the maintained digest index answers exactly (for the
     // exact methods this equals the batch finder's groups; for HNSW it is
     // at least as complete as the approximate batch pass).
-    run_phase(report.same_users_time, report.same_user_groups,
+    run_phase(ctx, report.same_users_time, report.same_user_groups,
               [&](const util::ExecutionContext&) {
                 return state_.same_user_groups(&report.same_users_work);
               });
-    run_phase(report.same_permissions_time, report.same_permission_groups,
+    run_phase(ctx, report.same_permissions_time, report.same_permission_groups,
               [&](const util::ExecutionContext&) {
                 return state_.same_permission_groups(&report.same_permissions_work);
               });
@@ -607,11 +543,10 @@ AuditReport AuditEngine::reaudit() {
   if (options_.detect_similar) {
     auto find_similar_batch = [&](const linalg::CsrMatrix& matrix,
                                   const util::ExecutionContext& c) {
-      if (options_.similarity_mode == SimilarityMode::kJaccard) {
-        return finder->find_similar_jaccard(
-            matrix, jaccard_threshold(options_.jaccard_dissimilarity), c);
-      }
-      return finder->find_similar(matrix, options_.similarity_threshold, c);
+      const std::size_t threshold = similar_threshold_scaled(options_);
+      return options_.similarity_mode == SimilarityMode::kJaccard
+                 ? finder->find_similar_jaccard(matrix, threshold, c)
+                 : finder->find_similar(matrix, threshold, c);
     };
 
     auto similar_phase = [&](PhaseTiming& timing, RoleGroups& out, FinderWorkStats& work,
@@ -620,7 +555,7 @@ AuditReport AuditEngine::reaudit() {
       const bool cache_on = hnsw || cacheable_exact();
 
       if (audited_once_ && cache_on && axis.similar.valid) {
-        const bool ran = run_phase(timing, out, [&](const util::ExecutionContext& c) {
+        const bool ran = run_phase(ctx, timing, out, [&](const util::ExecutionContext& c) {
           return hnsw ? hnsw_delta_similar(axis, matrix, c, work)
                       : delta_similar(axis, matrix, c, work);
         });
@@ -638,7 +573,7 @@ AuditReport AuditEngine::reaudit() {
       // cache), arming the matched-pair sink to (re)seed the cache.
       methods::MatchedPairs collected;
       if (cache_on) finder->collect_matched_pairs(&collected);
-      const bool ran = run_phase(timing, out, [&](const util::ExecutionContext& c) {
+      const bool ran = run_phase(ctx, timing, out, [&](const util::ExecutionContext& c) {
         RoleGroups groups = find_similar_batch(matrix, c);
         work = finder->last_work();
         return groups;
@@ -677,21 +612,46 @@ AuditReport AuditEngine::reaudit() {
   std::fill(perms_axis_.dirty.begin(), perms_axis_.dirty.end(), std::uint8_t{0});
   audited_once_ = true;
   ++audits_;
-  if (publish_versions_) publish_version(report);
+  if (publish_versions_) publish_version(published_, state_, report, persistent_state());
   return report;
 }
 
-void AuditEngine::publish_version(const AuditReport& report) {
+// ------------------------------------------------- shared by both engines ---
+
+AuditReport report_preamble(const IncrementalAuditor& state, const AuditOptions& options,
+                            std::uint64_t version, const GroupFinder& finder) {
+  AuditReport report;
+  report.num_users = state.num_users();
+  report.num_roles = state.num_roles();
+  report.num_permissions = state.num_permissions();
+  report.similarity_threshold = options.similarity_threshold;
+  report.similarity_mode = options.similarity_mode;
+  report.jaccard_dissimilarity = options.jaccard_dissimilarity;
+  report.options = options;
+  report.engine_version = version;
+  report.dataset_digest = dataset_content_digest(state);
+  report.method_name = finder.name();
+  return report;
+}
+
+std::size_t similar_threshold_scaled(const AuditOptions& options) {
+  return options.similarity_mode == SimilarityMode::kJaccard
+             ? jaccard_threshold(options.jaccard_dissimilarity)
+             : options.similarity_threshold;
+}
+
+void publish_version(VersionSlot& slot, const IncrementalAuditor& state,
+                     const AuditReport& report, EnginePersistentState persistent) {
   auto version = std::make_shared<EngineVersion>();
-  version->version = version_;
-  version->audits = audits_;
-  version->dataset = state_.snapshot_shared();
+  version->version = persistent.version;
+  version->audits = persistent.audits;
+  version->dataset = state.snapshot_shared();
   // Many reader threads will share this dataset; compile its lazy matrix
   // caches while we are still the sole owner (RbacDataset::warm_caches).
   version->dataset->warm_caches();
   version->report = report;
-  version->state = persistent_state();
-  published_.publish(std::move(version));
+  version->state = std::move(persistent);
+  slot.publish(std::move(version));
 }
 
 }  // namespace rolediet::core

@@ -51,6 +51,8 @@
 #include "core/incremental.hpp"
 #include "core/methods/method_common.hpp"
 #include "linalg/csr_matrix.hpp"
+#include "util/execution_context.hpp"
+#include "util/timer.hpp"
 
 namespace rolediet::core {
 
@@ -97,6 +99,84 @@ struct RbacDelta {
 
 // EnginePersistentState and EngineVersion moved to core/engine_version.hpp
 // (the published read view shares them with the service and store layers).
+
+// ---- shared by AuditEngine and ShardedEngine (core/sharded_engine.hpp) ------
+// Both engines keep their RBAC state in one IncrementalAuditor; what they
+// decide the same way is written once here.
+
+/// Applies the batch in order, by name, through `engine`'s mutators: add-*
+/// and edge additions intern unknown names, revocations of unknown names are
+/// no-ops, so journals replay idempotently and every engine fed the same
+/// stream lands on the same ids and version.
+template <typename Engine>
+void apply_delta(Engine& engine, const RbacDelta& delta) {
+  for (const Mutation& m : delta.mutations) {
+    switch (m.kind) {
+      case MutationKind::kAddUser:
+        engine.add_user(m.entity);
+        break;
+      case MutationKind::kAddRole:
+        engine.add_role(m.entity);
+        break;
+      case MutationKind::kAddPermission:
+        engine.add_permission(m.entity);
+        break;
+      case MutationKind::kAssignUser:
+        engine.assign_user(engine.add_role(m.role), engine.add_user(m.entity));
+        break;
+      case MutationKind::kGrantPermission:
+        engine.grant_permission(engine.add_role(m.role), engine.add_permission(m.entity));
+        break;
+      case MutationKind::kRevokeUser: {
+        const std::optional<Id> role = engine.state().find_role(m.role);
+        const std::optional<Id> user = engine.state().find_user(m.entity);
+        if (role && user) engine.revoke_user(*role, *user);
+        break;
+      }
+      case MutationKind::kRevokePermission: {
+        const std::optional<Id> role = engine.state().find_role(m.role);
+        const std::optional<Id> perm = engine.state().find_permission(m.entity);
+        if (role && perm) engine.revoke_permission(*role, *perm);
+        break;
+      }
+    }
+  }
+}
+
+/// A reaudit's report before any phase runs: entity counts, options,
+/// version, the content digest of `state`, and `finder`'s method name.
+[[nodiscard]] AuditReport report_preamble(const IncrementalAuditor& state,
+                                          const AuditOptions& options, std::uint64_t version,
+                                          const GroupFinder& finder);
+
+/// Runs one detection phase under the reaudit's single deadline: a phase
+/// that never starts is skipped (timed out, zero seconds), one the budget
+/// stops mid-flight reports partial groups (see framework.hpp). Returns
+/// whether the phase ran.
+template <typename Compute>
+bool run_phase(const util::ExecutionContext& ctx, PhaseTiming& timing, RoleGroups& out,
+               Compute&& compute) {
+  if (ctx.expired()) {
+    timing.timed_out = true;
+    return false;
+  }
+  util::Stopwatch watch;
+  out = compute(ctx);
+  timing.seconds = watch.seconds();
+  timing.timed_out = ctx.interrupted();
+  return true;
+}
+
+/// The similar phase's integer threshold: the Hamming threshold, or the
+/// Jaccard dissimilarity on the kJaccardScale grid.
+[[nodiscard]] std::size_t similar_threshold_scaled(const AuditOptions& options);
+
+/// Swaps the next immutable EngineVersion into `slot`: a bulk snapshot of
+/// `state` (lazy matrix caches compiled while the writer is its sole owner),
+/// the report, and the persistent state; the version counters come from
+/// `persistent`.
+void publish_version(VersionSlot& slot, const IncrementalAuditor& state,
+                     const AuditReport& report, EnginePersistentState persistent);
 
 class AuditEngine {
  public:
@@ -251,7 +331,6 @@ class AuditEngine {
 
   void mark_dirty(Axis& axis, Id role);
   [[nodiscard]] bool cacheable_exact() const;
-  [[nodiscard]] std::size_t similar_threshold_scaled() const;
 
   [[nodiscard]] RoleGroups delta_similar(Axis& axis, const linalg::CsrMatrix& matrix,
                                          const util::ExecutionContext& ctx,
@@ -266,8 +345,6 @@ class AuditEngine {
                                         methods::MatchedPairs&& fresh, std::size_t dirty_count,
                                         const util::ExecutionContext& ctx,
                                         FinderWorkStats& work);
-
-  void publish_version(const AuditReport& report);
 
   AuditOptions options_;
   IncrementalAuditor state_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/csr_matrix.hpp"
 
@@ -22,25 +23,34 @@ void IncrementalAuditor::AxisIndex::erase(std::size_t role, std::uint64_t digest
 
 // ---------------------------------------------------------- constructor ---
 
-IncrementalAuditor::IncrementalAuditor(const RbacDataset& snapshot)
-    : user_names_(snapshot.user_table()),
-      role_names_(snapshot.role_table()),
-      perm_names_(snapshot.permission_table()),
-      roles_(snapshot.num_roles()),
-      user_degree_(snapshot.ruam().column_sums()),
-      perm_degree_(snapshot.rpam().column_sums()) {
-  const linalg::CsrMatrix& ruam = snapshot.ruam();
-  const linalg::CsrMatrix& rpam = snapshot.rpam();
+IncrementalAuditor::IncrementalAuditor(NameTable users, NameTable roles, NameTable perms,
+                                       const linalg::CsrMatrix& ruam,
+                                       const linalg::CsrMatrix& rpam)
+    : user_names_(std::move(users)),
+      role_names_(std::move(roles)),
+      perm_names_(std::move(perms)),
+      roles_(role_names_.size()),
+      user_degree_(ruam.column_sums()),
+      perm_degree_(rpam.column_sums()) {
+  if (ruam.rows() != roles_.size() || ruam.cols() != user_names_.size() ||
+      rpam.rows() != roles_.size() || rpam.cols() != perm_names_.size()) {
+    throw std::invalid_argument(
+        "IncrementalAuditor: matrix shape disagrees with the name tables");
+  }
   for (std::size_t r = 0; r < roles_.size(); ++r) {
-    const auto users = ruam.row(r);
-    const auto perms = rpam.row(r);
-    roles_[r].users.assign(users.begin(), users.end());
-    roles_[r].perms.assign(perms.begin(), perms.end());
+    const auto users_row = ruam.row(r);
+    const auto perms_row = rpam.row(r);
+    roles_[r].users.assign(users_row.begin(), users_row.end());
+    roles_[r].perms.assign(perms_row.begin(), perms_row.end());
     // Empty sets are not indexed (empty roles are type-2 findings).
-    if (!users.empty()) user_axis_.insert(r, linalg::csr_row_digest(users));
-    if (!perms.empty()) perm_axis_.insert(r, linalg::csr_row_digest(perms));
+    if (!users_row.empty()) user_axis_.insert(r, linalg::csr_row_digest(users_row));
+    if (!perms_row.empty()) perm_axis_.insert(r, linalg::csr_row_digest(perms_row));
   }
 }
+
+IncrementalAuditor::IncrementalAuditor(const RbacDataset& snapshot)
+    : IncrementalAuditor(snapshot.user_table(), snapshot.role_table(),
+                         snapshot.permission_table(), snapshot.ruam(), snapshot.rpam()) {}
 
 // -------------------------------------------------------------- entities ---
 

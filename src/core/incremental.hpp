@@ -39,9 +39,15 @@ namespace rolediet::core {
 
 class IncrementalAuditor {
  public:
-  /// Starts from an existing dataset, copying it in bulk: the three name
-  /// tables whole, every role's rows from the compiled RUAM/RPAM (sorted and
-  /// deduplicated), one degree pass per axis, one digest per non-empty row.
+  /// Starts from whole name tables and compiled RUAM (roles x users) / RPAM
+  /// (roles x permissions), copying every role's rows in bulk: one degree
+  /// pass per axis, one digest per non-empty row. Row validity is the
+  /// matrices' own (CsrMatrix::from_csr); throws std::invalid_argument when a
+  /// matrix's shape disagrees with the tables.
+  IncrementalAuditor(NameTable users, NameTable roles, NameTable perms,
+                     const linalg::CsrMatrix& ruam, const linalg::CsrMatrix& rpam);
+
+  /// Starts from an existing dataset: its name tables and compiled matrices.
   explicit IncrementalAuditor(const RbacDataset& snapshot);
 
   /// Starts empty.
@@ -79,6 +85,11 @@ class IncrementalAuditor {
   [[nodiscard]] const std::string& permission_name(Id perm) const {
     return perm_names_.name(perm);
   }
+
+  /// Whole name tables, in id order.
+  [[nodiscard]] const NameTable& user_table() const noexcept { return user_names_; }
+  [[nodiscard]] const NameTable& role_table() const noexcept { return role_names_; }
+  [[nodiscard]] const NameTable& permission_table() const noexcept { return perm_names_; }
 
   /// Current sorted user / permission set of a role (live view; invalidated
   /// by the next mutation of that role).

@@ -1,20 +1,18 @@
 // Sharded audit engine: range-partitioned shards + cross-shard pair exchange.
 //
-// AuditEngine holds the whole dataset in one IncrementalAuditor; past a few
-// million users the working set (and the similar-phase candidate structures)
-// outgrow one coordinator. ShardedEngine splits the *role axis* into S
-// shards — contiguous gid ranges for the construction-time roles, round-robin
-// for roles interned later — and keeps per-shard row storage while one thin
-// coordinator owns the name interner, degree counters, and version counter.
-// Each shard's rows can be served from an mmap'd read-only body image
-// (store/body.hpp) with a copy-on-write overlay for mutated roles, so a
-// recovered store only materializes the rows churn actually touched.
+// AuditEngine runs the similar phase over one matrix per axis; past a few
+// million users those candidate structures outgrow one pipeline.
+// ShardedEngine partitions the *role ids* into S shards — contiguous gid
+// ranges for the construction-time roles, round-robin for roles interned
+// later — and keeps the RBAC state itself exactly as AuditEngine does, in one
+// IncrementalAuditor: names, rows, degrees, the type-4 digest index, the
+// content digest and snapshot() all come from it. The partition is what
+// sharding adds: it splits the similar phase, and the durable sharded store
+// (store/sharded_store.hpp) keeps one WAL stream and one body file per shard.
 //
-// reaudit() merges per-shard findings into one AuditReport:
-//  - types 1-3 come from the coordinator's degree/norm counters;
-//  - type 4 is a digest-bucket equality partition over all shards (identical
-//    to IncrementalAuditor's maintained index and to every exact finder's
-//    find_same);
+// reaudit() builds one AuditReport:
+//  - types 1-4 come from the auditor's maintained counters and digest index
+//    (the same ones AuditEngine answers from);
 //  - type 5 runs the configured batch finder *per shard* (shard-local pair
 //    pipeline over a transient matrix with global column ids), then a
 //    cross-shard candidate exchange where only compact signatures travel —
@@ -43,8 +41,9 @@
 #include <string_view>
 #include <vector>
 
-#include "core/engine.hpp"  // RbacDelta / Mutation
+#include "core/engine.hpp"  // RbacDelta / Mutation, the shared engine helpers
 #include "core/framework.hpp"
+#include "core/incremental.hpp"
 #include "core/model.hpp"
 #include "linalg/csr_matrix.hpp"
 
@@ -76,11 +75,12 @@ struct ShardWorkSnapshot {
 class ShardedEngine {
  public:
   /// Restore image of one shard: the roles it owns (global ids, increasing)
-  /// and read-only base row views for both axes — typically served from an
-  /// mmap'd store/body.hpp file that must outlive the engine. Views may cover
-  /// fewer rows than `roles` has entries only if the missing tail is empty.
+  /// and read-only row views for both axes — typically an mmap'd
+  /// store/body.hpp file. The views are read only during the restore
+  /// constructor, which copies their rows. Views may cover fewer rows than
+  /// `roles` has entries only if the missing tail is empty.
   struct ShardImage {
-    std::vector<Id> roles;
+    std::span<const Id> roles;
     linalg::CsrView users;
     linalg::CsrView perms;
   };
@@ -95,15 +95,15 @@ class ShardedEngine {
     std::vector<Id> perms_cols;
   };
 
-  /// Copies the snapshot's structure into `shards` range partitions. Throws
-  /// std::invalid_argument on zero shards or invalid options.
+  /// Copies the snapshot's structure and partitions its roles into `shards`
+  /// ranges. Throws std::invalid_argument on zero shards or invalid options.
   ShardedEngine(const RbacDataset& snapshot, std::size_t shards, AuditOptions options = {});
 
   /// Restores from per-shard images (store recovery path). The images must
   /// form the exact partition a ShardedEngine with `initial_roles`
-  /// construction-time roles would produce; validated, std::invalid_argument
-  /// on mismatch. Base views are referenced, not copied — mutation of a role
-  /// copies its row into the overlay first.
+  /// construction-time roles would produce, names must be unique per kind,
+  /// and every row must be strictly increasing within its axis' entity
+  /// count; std::invalid_argument otherwise. The rows are copied.
   ShardedEngine(std::vector<std::string> user_names, std::vector<std::string> role_names,
                 std::vector<std::string> perm_names, std::vector<ShardImage> images,
                 std::size_t initial_roles, std::uint64_t version, std::uint64_t audits,
@@ -114,10 +114,11 @@ class ShardedEngine {
 
   // ---- mutations (AuditEngine-compatible semantics) -----------------------
 
-  /// Applies the batch in order by name; same effectiveness and version
-  /// semantics as AuditEngine::apply (revocations of unknown names no-op).
+  /// Applies the batch in order by name (core::apply_delta): same
+  /// effectiveness and version semantics as AuditEngine::apply.
   void apply(const RbacDelta& delta);
 
+  /// Name-interning entity adds; a new role joins the partition.
   Id add_user(std::string name);
   Id add_role(std::string name);
   Id add_permission(std::string name);
@@ -147,37 +148,29 @@ class ShardedEngine {
   }
 
   /// Materializes the current state as an immutable dataset.
-  [[nodiscard]] RbacDataset snapshot() const;
+  [[nodiscard]] RbacDataset snapshot() const { return state_.snapshot(); }
+
+  /// Mutable live state (read-only): lookups, degrees, role contents.
+  [[nodiscard]] const IncrementalAuditor& state() const noexcept { return state_; }
 
   // ---- lookups ------------------------------------------------------------
 
   [[nodiscard]] std::optional<Id> find_user(std::string_view name) const {
-    return user_names_.find(name);
+    return state_.find_user(name);
   }
   [[nodiscard]] std::optional<Id> find_role(std::string_view name) const {
-    return role_names_.find(name);
+    return state_.find_role(name);
   }
   [[nodiscard]] std::optional<Id> find_permission(std::string_view name) const {
-    return perm_names_.find(name);
+    return state_.find_permission(name);
   }
 
-  [[nodiscard]] std::size_t num_users() const noexcept { return user_names_.size(); }
-  [[nodiscard]] std::size_t num_roles() const noexcept { return role_names_.size(); }
-  [[nodiscard]] std::size_t num_permissions() const noexcept { return perm_names_.size(); }
-
-  [[nodiscard]] const std::string& user_name(Id user) const { return user_names_.name(user); }
-  [[nodiscard]] const std::string& role_name(Id role) const { return role_names_.name(role); }
-  [[nodiscard]] const std::string& permission_name(Id perm) const {
-    return perm_names_.name(perm);
-  }
-
-  /// Current sorted user / permission set of a role (live until the role's
-  /// next mutation).
-  [[nodiscard]] std::span<const Id> users_of_role(Id role) const;
-  [[nodiscard]] std::span<const Id> permissions_of_role(Id role) const;
+  [[nodiscard]] std::size_t num_users() const noexcept { return state_.num_users(); }
+  [[nodiscard]] std::size_t num_roles() const noexcept { return state_.num_roles(); }
+  [[nodiscard]] std::size_t num_permissions() const noexcept { return state_.num_permissions(); }
 
   [[nodiscard]] const AuditOptions& options() const noexcept { return options_; }
-  [[nodiscard]] std::size_t num_shards() const noexcept { return shards_.size(); }
+  [[nodiscard]] std::size_t num_shards() const noexcept { return shard_roles_.size(); }
   [[nodiscard]] std::size_t initial_roles() const noexcept { return initial_roles_; }
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
   [[nodiscard]] std::uint64_t audits() const noexcept { return audits_; }
@@ -194,73 +187,36 @@ class ShardedEngine {
   [[nodiscard]] ShardExport export_shard(std::size_t s) const;
 
   [[nodiscard]] std::span<const std::string> user_names() const noexcept {
-    return user_names_.names();
+    return state_.user_table().names();
   }
   [[nodiscard]] std::span<const std::string> role_names() const noexcept {
-    return role_names_.names();
+    return state_.role_table().names();
   }
   [[nodiscard]] std::span<const std::string> permission_names() const noexcept {
-    return perm_names_.names();
+    return state_.permission_table().names();
   }
 
  private:
   enum class AxisKind { kUsers, kPerms };
 
-  /// One axis of one shard: an optional read-only base image plus a
-  /// copy-on-write overlay for mutated / newly interned roles.
-  struct ShardAxis {
-    linalg::CsrView base;                   ///< snapshot rows (local index); may be empty
-    std::vector<std::vector<Id>> overlay;   ///< engaged rows (local index)
-    std::vector<std::uint8_t> touched;      ///< overlay[i] supersedes base row i
-  };
-
-  struct Shard {
-    std::vector<Id> roles;  ///< global role ids, increasing
-    ShardAxis users;
-    ShardAxis perms;
-  };
-
   [[nodiscard]] std::size_t owner_of_new_role(Id gid) const noexcept;
-  void register_role_storage(Id gid);
+  /// Appends role `gid` (the next id) to its shard.
+  void register_role(Id gid);
+  /// Bumps the version on an effective mutation.
+  bool counted(bool changed) noexcept;
   [[nodiscard]] std::span<const Id> row(AxisKind axis, Id role) const;
-  /// Copy-on-write: the mutable overlay row for `role` on `axis`.
-  [[nodiscard]] std::vector<Id>& mutable_row(AxisKind axis, Id role);
-  bool mutate_edge(AxisKind axis, Id role, Id entity, bool add);
-  /// One axis' current rows over every role, as a compiled matrix.
-  [[nodiscard]] linalg::CsrMatrix compile(AxisKind axis) const;
 
-  [[nodiscard]] std::uint64_t content_digest() const;
-  [[nodiscard]] StructuralFindings structural() const;
-  [[nodiscard]] RoleGroups equal_groups(AxisKind axis, FinderWorkStats* work) const;
   [[nodiscard]] RoleGroups all_nonempty_group(AxisKind axis) const;
   [[nodiscard]] RoleGroups sharded_similar(AxisKind axis, std::size_t threshold, bool jaccard,
+                                           GroupFinder& finder,
                                            const util::ExecutionContext& ctx,
                                            FinderWorkStats& work, ShardSimilarStats& stats);
-  [[nodiscard]] std::size_t similar_threshold_scaled() const;
-  [[nodiscard]] const std::vector<std::uint32_t>& norms(AxisKind axis) const noexcept {
-    return axis == AxisKind::kUsers ? users_norm_ : perms_norm_;
-  }
 
   AuditOptions options_;
+  IncrementalAuditor state_;
   std::size_t initial_roles_ = 0;  ///< construction-time role count (range split)
-
-  NameTable user_names_;
-  NameTable role_names_;
-  NameTable perm_names_;
-
-  std::vector<std::uint32_t> owner_;  ///< per role: owning shard
-  std::vector<std::uint32_t> local_;  ///< per role: index within its shard
-
-  std::vector<std::size_t> user_degree_;   ///< roles per user
-  std::vector<std::size_t> perm_degree_;   ///< roles per permission
-  std::vector<std::uint32_t> users_norm_;  ///< per role |users|
-  std::vector<std::uint32_t> perms_norm_;  ///< per role |permissions|
-  std::size_t total_assignments_ = 0;
-  std::size_t total_grants_ = 0;
-
-  std::vector<Shard> shards_;
-
-  void publish_version(const AuditReport& report);
+  std::vector<std::uint32_t> owner_;          ///< per role: owning shard
+  std::vector<std::vector<Id>> shard_roles_;  ///< per shard: global role ids, increasing
 
   std::uint64_t version_ = 0;
   std::uint64_t audits_ = 0;

@@ -89,14 +89,6 @@ CsrMatrix CsrMatrix::from_csr(std::size_t cols, std::vector<std::size_t> row_ptr
   return m;
 }
 
-CsrMatrix CsrMatrix::copy_of(const CsrView& view, std::size_t cols_override) {
-  CsrMatrix m(view.rows(), cols_override != 0 ? cols_override : view.cols);
-  m.row_ptr_.assign(view.row_ptr.begin(), view.row_ptr.end());
-  if (m.row_ptr_.empty()) m.row_ptr_.push_back(0);
-  m.cols_idx_.assign(view.cols_idx.begin(), view.cols_idx.end());
-  return m;
-}
-
 bool CsrMatrix::get(std::size_t r, std::size_t c) const noexcept {
   const auto cells = row(r);
   return std::binary_search(cells.begin(), cells.end(), static_cast<std::uint32_t>(c));

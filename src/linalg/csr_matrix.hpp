@@ -25,9 +25,9 @@ namespace rolediet::linalg {
 // ---- span-level CSR row kernels --------------------------------------------
 //
 // The merge kernels over sorted index runs, factored out of CsrMatrix so any
-// CSR-shaped storage — an owning CsrMatrix, an mmap'd read-only dataset body
-// (store/body.hpp), a scratch view — computes the same integers through the
-// same code. CsrMatrix and the RowStore view backend both delegate here.
+// sorted-row storage — an owning CsrMatrix, core::IncrementalAuditor's
+// per-role rows — computes the same integers through the same code.
+// CsrMatrix and RowStore's sparse backend both delegate here.
 
 /// Co-occurrence count |a ∩ b| of two strictly-increasing index runs.
 [[nodiscard]] std::size_t csr_intersection(std::span<const std::uint32_t> a,
@@ -45,8 +45,10 @@ namespace rolediet::linalg {
 /// Non-owning view of CSR arrays: the storage-agnostic face of a sparse
 /// boolean matrix. Everything RowStore's sparse kernels need — row extents
 /// and sorted column indices — without requiring the arrays to live in a
-/// CsrMatrix's vectors; the mmap'd dataset body serves its pages through
-/// exactly this shape. Invariants mirror CsrMatrix (see file comment).
+/// CsrMatrix's vectors; the mmap'd store body (store/body.hpp) exposes its
+/// rows in exactly this shape. Invariants mirror CsrMatrix (see file
+/// comment), except that a body's rows are validated only when copied into
+/// a CsrMatrix.
 struct CsrView {
   std::span<const std::size_t> row_ptr;     ///< rows()+1 offsets, front()==0
   std::span<const std::uint32_t> cols_idx;  ///< nnz sorted-per-row indices
@@ -83,11 +85,6 @@ class CsrMatrix {
   /// next to anything a caller will do with the matrix.
   [[nodiscard]] static CsrMatrix from_csr(std::size_t cols, std::vector<std::size_t> row_ptr,
                                           std::vector<std::uint32_t> cols_idx);
-
-  /// Deep copy of a view (e.g. rows served from an mmap'd body) with an
-  /// optional wider column count — sharded audits stamp the *current* global
-  /// entity count onto matrices rebuilt from an older body image.
-  [[nodiscard]] static CsrMatrix copy_of(const CsrView& view, std::size_t cols_override = 0);
 
   /// Non-owning view of this matrix's arrays (valid until the next mutation).
   [[nodiscard]] CsrView view() const noexcept { return {row_ptr_, cols_idx_, cols_}; }

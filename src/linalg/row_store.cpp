@@ -193,7 +193,7 @@ std::size_t RowStore::hamming_with_packed(std::span<const std::uint64_t> q,
 CsrMatrix RowStore::to_csr() const {
   if (sparse_ != nullptr) return *sparse_;
   if (dense_ != nullptr) return to_sparse(*dense_);
-  return CsrMatrix::copy_of(sview());
+  return {};
 }
 
 }  // namespace rolediet::linalg

@@ -10,13 +10,11 @@
 // few hundred stored indices — the sparse path wins exactly where the paper
 // says real data lives.
 //
-// RowStore is a non-owning *view* selecting one backend. The sparse backend
-// runs off a CsrView — raw row_ptr/cols_idx spans — so the same merge kernels
-// serve an owning CsrMatrix, an mmap'd read-only dataset body (store/body.hpp)
-// paging rows in on demand, or any other CSR-shaped storage. All backends
-// compute identical integer values for every kernel, so groups, reports, and
-// FinderWorkStats are byte-identical whichever backend runs — the
-// differential suite locks this down.
+// RowStore is a non-owning *view* selecting one backend; the sparse backend
+// runs the span-level merge kernels (csr_matrix.hpp) over the CsrMatrix's
+// row_ptr/cols_idx arrays. All backends compute identical integer values for
+// every kernel, so groups, reports, and FinderWorkStats are byte-identical
+// whichever backend runs — the differential suite locks this down.
 #pragma once
 
 #include <cstddef>
@@ -67,17 +65,11 @@ class RowStore {
   /// points matrix under a live index view and relies on this).
   RowStore(const CsrMatrix& sparse) noexcept : sparse_(&sparse) {}  // NOLINT(google-explicit-constructor)
 
-  /// View over raw CSR arrays (e.g. an mmap'd dataset body). Non-owning: the
-  /// storage behind the spans must outlive the view.
-  explicit RowStore(const CsrView& view) noexcept : span_(view) {}
-
   // A view over a temporary would dangle immediately.
   RowStore(BitMatrix&&) = delete;
   RowStore(CsrMatrix&&) = delete;
 
-  [[nodiscard]] bool is_sparse() const noexcept {
-    return dense_ == nullptr && (sparse_ != nullptr || !span_.row_ptr.empty());
-  }
+  [[nodiscard]] bool is_sparse() const noexcept { return sparse_ != nullptr; }
 
   [[nodiscard]] std::size_t rows() const noexcept {
     return dense_ != nullptr ? dense_->rows() : sview().rows();
@@ -204,31 +196,24 @@ class RowStore {
   [[nodiscard]] std::size_t hamming_with_packed(std::span<const std::uint64_t> q,
                                                 std::size_t b) const noexcept;
 
-  /// CSR copy of the viewed matrix (conversion when dense, deep copy when
-  /// view-backed). Lets consumers that are natively sparse (inverted indexes)
-  /// run off any backend.
+  /// CSR copy of the viewed matrix (conversion when dense; an empty view
+  /// gives the empty matrix). Lets consumers that are natively sparse
+  /// (inverted indexes) run off any backend.
   [[nodiscard]] CsrMatrix to_csr() const;
 
-  /// Underlying matrices; null for the backend not in use. A view-backed
-  /// store has no CsrMatrix, so sparse_matrix() is null there — use
-  /// csr_view() (or to_csr()) when the raw arrays are all that's needed.
+  /// Underlying matrices; null for the backend not in use.
   [[nodiscard]] const BitMatrix* dense_matrix() const noexcept { return dense_; }
   [[nodiscard]] const CsrMatrix* sparse_matrix() const noexcept { return sparse_; }
 
-  /// Raw CSR spans of the sparse backend (empty spans on the dense backend).
-  /// Valid only until the next mutation of the underlying storage.
-  [[nodiscard]] CsrView csr_view() const noexcept { return dense_ != nullptr ? CsrView{} : sview(); }
-
  private:
-  /// Sparse-shaped arrays: re-derived through the matrix pointer on every
-  /// access (mutation-tolerant), or the captured spans for view backends.
+  /// Sparse-shaped arrays, re-derived through the matrix pointer on every
+  /// access (mutation-tolerant); empty spans without a sparse matrix.
   [[nodiscard]] CsrView sview() const noexcept {
-    return sparse_ != nullptr ? sparse_->view() : span_;
+    return sparse_ != nullptr ? sparse_->view() : CsrView{};
   }
 
   const BitMatrix* dense_ = nullptr;
-  const CsrMatrix* sparse_ = nullptr;  // set only when constructed from one
-  CsrView span_;                       // engaged for view-backed stores
+  const CsrMatrix* sparse_ = nullptr;
 };
 
 }  // namespace rolediet::linalg

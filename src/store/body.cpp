@@ -130,8 +130,8 @@ MmapBody::MmapBody(const std::filesystem::path& path) {
   const auto* perms_idx = users_idx + users_nnz;
 
   // Framing checks: monotone row pointers ending at nnz, increasing gids.
-  // Content validity of the column runs is re-checked by CsrMatrix::from_csr
-  // whenever the engine rebuilds a matrix from these rows.
+  // Content validity of the column runs is checked by CsrMatrix::from_csr
+  // when the engine's restore constructor copies these rows.
   auto check_ptrs = [&](const std::size_t* p, std::uint64_t nnz) {
     if (p[0] != 0 || p[k] != nnz) return false;
     for (std::uint64_t i = 0; i < k; ++i) {

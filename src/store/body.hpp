@@ -1,11 +1,10 @@
 // Mmap-backed read-only dataset body for sharded stores.
 //
 // A shard checkpoint freezes the shard's current rows into one `.rdbody`
-// file that recovery maps back into the process with mmap(PROT_READ) and
-// serves to the engine as linalg::CsrView spans — for shards larger than
-// RAM the kernel pages rows in on demand instead of the store
-// materializing every row up front (the copy-on-write overlay in
-// core::ShardedEngine keeps mutations out of the mapping).
+// file. Recovery maps it back with mmap(PROT_READ) and hands its rows to the
+// core::ShardedEngine restore constructor as linalg::CsrView spans; the
+// constructor validates and copies them, and the store unmaps the body
+// before open() returns.
 //
 // File layout (numbers little-endian, host-endian mmap read-back — the body
 // is a local cache format, not an interchange format):
@@ -58,8 +57,8 @@ struct BodyAxisData {
 void write_body_file(const std::filesystem::path& path, std::span<const core::Id> roles,
                      const BodyAxisData& users, const BodyAxisData& perms);
 
-/// Read-only mapping of one body file. The CsrViews alias the mapping, so
-/// the MmapBody must outlive every engine holding them.
+/// Read-only mapping of one body file. The spans alias the mapping, so they
+/// are valid only while the MmapBody lives.
 class MmapBody {
  public:
   explicit MmapBody(const std::filesystem::path& path);

@@ -383,28 +383,30 @@ ShardedEngineStore ShardedEngineStore::open(const fs::path& dir,
   info.checkpoint_id = manifest.checkpoint_id;
   info.manifest_coord_records = manifest.coord_records;
 
-  // 1. Checkpoint image: names + one mmap'd body per shard.
+  // 1. Checkpoint image: names + one mmap'd body per shard, mapped only
+  // while the restore constructor validates and copies their rows.
   Names names = read_names(names_path(dir, manifest.checkpoint_id));
   if (names.users.size() != manifest.num_users || names.roles.size() != manifest.num_roles ||
       names.perms.size() != manifest.num_perms) {
     fail("names file does not match the manifest's entity counts");
   }
-  std::vector<core::ShardedEngine::ShardImage> images;
-  images.reserve(manifest.shards);
-  store.bodies_.reserve(manifest.shards);
-  for (std::size_t s = 0; s < manifest.shards; ++s) {
-    const MmapBody& mapped = store.bodies_.emplace_back(body_path(dir, s, manifest.checkpoint_id));
-    images.push_back({{mapped.roles().begin(), mapped.roles().end()},
-                      mapped.users(),
-                      mapped.perms()});
-  }
-  try {
-    store.engine_ = std::make_unique<core::ShardedEngine>(
-        std::move(names.users), std::move(names.roles), std::move(names.perms),
-        std::move(images), manifest.initial_roles, manifest.engine_version, manifest.audits,
-        options);
-  } catch (const std::invalid_argument& e) {
-    fail("checkpoint does not restore: " + std::string(e.what()));
+  {
+    std::vector<MmapBody> bodies;
+    std::vector<core::ShardedEngine::ShardImage> images;
+    bodies.reserve(manifest.shards);
+    images.reserve(manifest.shards);
+    for (std::size_t s = 0; s < manifest.shards; ++s) {
+      const MmapBody& mapped = bodies.emplace_back(body_path(dir, s, manifest.checkpoint_id));
+      images.push_back({mapped.roles(), mapped.users(), mapped.perms()});
+    }
+    try {
+      store.engine_ = std::make_unique<core::ShardedEngine>(
+          std::move(names.users), std::move(names.roles), std::move(names.perms),
+          std::move(images), manifest.initial_roles, manifest.engine_version, manifest.audits,
+          options);
+    } catch (const std::invalid_argument& e) {
+      fail("checkpoint does not restore: " + std::string(e.what()));
+    }
   }
 
   // 2. Surviving WAL tails of all S+1 streams.

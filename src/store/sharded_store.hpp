@@ -37,10 +37,11 @@
 // manifest records the WAL cut of every stream, so a crash anywhere in a
 // checkpoint leaves either the old or the new checkpoint fully intact.
 //
-// Recovery builds the engine from the manifest's bodies via the
-// ShardedEngine restore constructor — shard rows are served straight from
-// the mmap'd bodies and only rows the replayed tail actually touches get
-// materialized in the engine's copy-on-write overlay.
+// Recovery maps the manifest's bodies for the duration of open(): the
+// ShardedEngine restore constructor validates their rows (sorted, unique,
+// within the entity counts) and copies them into the engine's state, so a
+// body that passes its digest but holds a bad row fails the open instead of
+// a later reaudit.
 #pragma once
 
 #include <cstdint>
@@ -108,9 +109,8 @@ class ShardedEngineStore {
   /// everything it supersedes. Returns the new checkpoint id.
   ///
   /// Asymmetry with EngineStore::checkpoint(): bodies are frozen from the
-  /// *live* shard rows, not from a published version — rebuilding per-shard
-  /// mmap bodies out of a flat dataset copy would forfeit the zero-copy
-  /// recovery path. The consistency obligation moves to the caller instead:
+  /// *live* engine, whose role partition splits them per shard, not from a
+  /// published version. The consistency obligation moves to the caller:
   /// checkpoint() must run on the writer thread strictly between apply()
   /// batches (service::AuditService guarantees exactly that), where the live
   /// rows equal the committed WAL prefix by construction.
@@ -141,7 +141,6 @@ class ShardedEngineStore {
   void prune_stale_checkpoints(std::uint64_t keep);
 
   std::filesystem::path dir_;
-  std::vector<MmapBody> bodies_;  ///< outlives engine_ (declared first)
   std::unique_ptr<core::ShardedEngine> engine_;
   Wal coord_;
   std::vector<Wal> shard_wals_;

@@ -541,6 +541,42 @@ TEST(Cli, StoreCommandsRejectBadArguments) {
   EXPECT_EQ(run_cli({"replay", "--shards", "2", dir.path("data"), "j.csv"}).code, 2);
 }
 
+TEST(Cli, ServeRunsOnFlatAndShardedStores) {
+  CliDir dir;
+  io::save_dataset(rolediet::testing::figure1_dataset(), dir.path("data"));
+  for (const std::string shards : {"", "2"}) {
+    SCOPED_TRACE(shards.empty() ? "flat" : "sharded");
+    const std::string store = dir.path("store" + shards);
+    std::vector<std::string> args = {"serve", dir.path("data"), store, "--batches", "4",
+                                     "--batch-size", "4", "--readers", "1"};
+    if (!shards.empty()) args.insert(args.end(), {"--shards", shards});
+    const CliResult r = run_cli(args);
+    ASSERT_EQ(r.code, 0) << r.err;
+    EXPECT_NE(r.out.find("applied 4 batches (16 mutations)"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("final version 16 "), std::string::npos) << r.out;
+
+    const CliResult rec = run_cli({"recover", store});
+    ASSERT_EQ(rec.code, 0) << rec.err;
+    EXPECT_NE(rec.out.find("engine version 16,"), std::string::npos) << rec.out;
+  }
+}
+
+TEST(Cli, ServeRejectsBadArguments) {
+  CliDir dir;
+  io::save_dataset(rolediet::testing::figure1_dataset(), dir.path("data"));
+  for (const char* flag : {"--batches", "--batch-size", "--reaudit-every"}) {
+    EXPECT_EQ(run_cli({"serve", flag, "0", dir.path("data"), dir.path("store")}).code, 2)
+        << flag;
+  }
+  core::RbacDataset no_permission;
+  no_permission.add_user("ann");
+  no_permission.add_role("r0");
+  no_permission.assign_user(0, 0);
+  io::save_dataset(no_permission, dir.path("noperm"));
+  EXPECT_EQ(run_cli({"serve", dir.path("noperm"), dir.path("store")}).code, 2);
+  EXPECT_FALSE(fs::exists(dir.path("store")));
+}
+
 TEST(Cli, DeterministicGenerate) {
   CliDir dir;
   ASSERT_EQ(run_cli({"generate", "org", "--seed", "5", dir.path("a")}).code, 0);

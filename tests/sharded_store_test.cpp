@@ -326,6 +326,50 @@ TEST(ShardedStoreLayout, HostileCountsInDigestValidFilesFailTheOpen) {
   EXPECT_THROW((void)ShardedEngineStore::open(dir, default_options()), store::StoreError);
 }
 
+/// A digest-valid body can still hold a row that is not a sorted set of
+/// known ids; the open must fail with StoreError, not hand the row to WAL
+/// replay (which binary-searches it) or to the first reaudit.
+TEST(ShardedStoreLayout, DigestValidBodyWithBadRowFailsTheOpen) {
+  core::RbacDataset dataset;
+  dataset.add_user("u0");
+  dataset.add_user("u1");
+  dataset.add_role("r0");
+  dataset.add_permission("p0");
+  dataset.assign_user(0, 0);
+  dataset.assign_user(0, 1);
+  dataset.grant_permission(0, 0);
+  ScopedTempDir root("shardbadrow");
+  const fs::path dir = root.file("store");
+  (void)ShardedEngineStore::create(dir, dataset, 1, default_options());
+  EXPECT_NO_THROW((void)ShardedEngineStore::open(dir, default_options()));
+
+  fs::path body;
+  for (const auto& entry : fs::directory_iterator(dir / "shard-000")) {
+    if (entry.path().extension() == ".rdbody") body = entry.path();
+  }
+  ASSERT_FALSE(body.empty());
+  const std::string original = slurp(body);
+  // Header (56 bytes), two row_ptr arrays of K+1 u64, K role ids, then the
+  // users cols_idx: role 0's row {0, 1} is its first two u32s. K = 1.
+  constexpr std::size_t kRoles = 1;
+  constexpr std::size_t kUsersCols = 56 + 16 * (kRoles + 1) + 4 * kRoles;
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> bad_rows = {
+      {1, 0},  // swapped
+      {1, 1},  // repeated id
+      {0, 2},  // id >= the users count
+  };
+  for (const auto& [first, second] : bad_rows) {
+    SCOPED_TRACE("row {" + std::to_string(first) + ", " + std::to_string(second) + "}");
+    std::string bytes = original.substr(0, original.size() - 8);
+    std::string row;
+    put_le(row, first, 4);
+    put_le(row, second, 4);
+    bytes.replace(kUsersCols, row.size(), row);
+    std::ofstream(body, std::ios::binary | std::ios::trunc) << with_digest(bytes);
+    EXPECT_THROW((void)ShardedEngineStore::open(dir, default_options()), store::StoreError);
+  }
+}
+
 TEST(ShardedStoreCheckpoint, PrunesSupersededGenerationsAndResumesAppends) {
   const core::AuditOptions options = default_options();
   ScopedTempDir root("shardckpt");
