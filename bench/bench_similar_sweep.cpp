@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
   std::printf("\nexpected shape: same ordering as Fig. 3; similarity search costs the\n"
-              "role-diet method a sparse co-occurrence sweep instead of a hash pass,\n"
+              "role-diet method a prefix-filtered candidate sweep instead of a hash pass,\n"
               "but it remains far below both baselines.\n");
   return 0;
 }

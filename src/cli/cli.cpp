@@ -902,8 +902,19 @@ int cmd_generate(Args& args, std::ostream& out) {
                          "hostile-names, standalone-storm, or all)");
       }
     }
+    // Build every scenario before writing any, so a scale one of them
+    // rejects leaves nothing half generated.
+    std::vector<core::RbacDataset> datasets;
     for (gen::AdversarialScenario scenario : scenarios) {
-      const core::RbacDataset dataset = gen::make_adversarial(scenario, params);
+      try {
+        datasets.push_back(gen::make_adversarial(scenario, params));
+      } catch (const std::invalid_argument& e) {
+        throw UsageError(e.what());
+      }
+    }
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+      const gen::AdversarialScenario scenario = scenarios[i];
+      const core::RbacDataset& dataset = datasets[i];
       const std::filesystem::path target =
           which == "all" ? std::filesystem::path(dir) / gen::to_string(scenario)
                          : std::filesystem::path(dir);
@@ -999,7 +1010,7 @@ int cmd_help(std::ostream& out) {
          "usage: rolediet SUBCOMMAND [ARGS]\n\n"
          "subcommands:\n"
          "  audit DIR      detect all five inefficiency types; options:\n"
-         "                 --method role-diet|exact-dbscan|approx-hnsw\n"
+         "                 --method role-diet|exact-dbscan|approx-hnsw|approx-minhash\n"
          "                 --threshold N (hamming) | --jaccard F (relative)\n"
          "                 --budget SECONDS (hard deadline: an over-budget\n"
          "                 phase stops mid-phase and reports partial groups)\n"

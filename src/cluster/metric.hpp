@@ -129,26 +129,6 @@ inline void distance_bounded_block(MetricKind kind, const linalg::RowStore& rows
   }
 }
 
-/// Batched distance_bounded over a gathered index list: out[k] =
-/// distance_bounded(kind, rows, a, idx[k], limit), same bounded contract.
-inline void distance_bounded_gather(MetricKind kind, const linalg::RowStore& rows, std::size_t a,
-                                    std::span<const std::uint32_t> idx, std::size_t limit,
-                                    std::size_t* out) noexcept {
-  switch (kind) {
-    case MetricKind::kHamming:
-    case MetricKind::kManhattan:
-      rows.hamming_bounded_gather(a, idx, limit, out);
-      return;
-    case MetricKind::kJaccard: {
-      rows.intersection_gather(a, idx, out);
-      const std::size_t na = rows.row_size(a);
-      for (std::size_t k = 0; k < idx.size(); ++k)
-        out[k] = jaccard_scaled_from_counts(na, rows.row_size(idx[k]), out[k]);
-      return;
-    }
-  }
-}
-
 /// Batched distance over a gathered index list: out[k] = distance(kind,
 /// rows, a, idx[k]). Amortizes the kernel dispatch-table fetch over the
 /// list; identical integers to idx.size() single-pair calls.

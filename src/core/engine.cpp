@@ -8,6 +8,7 @@
 #include "cluster/metric.hpp"
 #include "core/digest.hpp"
 #include "core/methods/approx.hpp"
+#include "core/methods/prefix_filter.hpp"
 #include "util/timer.hpp"
 
 namespace rolediet::core {
@@ -302,14 +303,15 @@ RoleGroups AuditEngine::finish_delta(Axis& axis, methods::PairPipelineOutcome&& 
 }
 
 RoleGroups AuditEngine::delta_similar(Axis& axis, const linalg::CsrMatrix& matrix,
+                                      std::span<const std::size_t> degrees,
                                       const util::ExecutionContext& ctx,
                                       FinderWorkStats& work) {
   const std::vector<std::size_t> dirty = dirty_list(axis.dirty);
   const linalg::RowStore store(matrix);  // sparse kernels; verdicts are backend-invariant
   const bool jaccard_mode = options_.similarity_mode == SimilarityMode::kJaccard;
   const std::size_t thr = similar_threshold_scaled(options_);
-  const cluster::MetricKind metric =
-      jaccard_mode ? cluster::MetricKind::kJaccard : cluster::MetricKind::kHamming;
+  const methods::SimilarVerdict verdict =
+      jaccard_mode ? methods::SimilarVerdict::jaccard(thr) : methods::SimilarVerdict::hamming(thr);
   auto is_dirty = [&axis](std::size_t j) { return j < axis.dirty.size() && axis.dirty[j] != 0; };
   // Dedupe rule: dirty row d emits (d, j) unless j is also dirty and will
   // emit the pair itself (j < d). Keeps the frontier scan near |D| * n even
@@ -361,69 +363,52 @@ RoleGroups AuditEngine::delta_similar(Axis& axis, const linalg::CsrMatrix& matri
           };
         },
         [&](std::size_t a, std::size_t b, std::size_t g) {
-          if (jaccard_mode) {
-            return cluster::jaccard_scaled_from_counts(store.row_size(a), store.row_size(b),
-                                                       g) <= thr;
-          }
-          return store.row_size(a) + store.row_size(b) - 2 * g <= thr;
+          return verdict.accepts(store.row_size(a), store.row_size(b), g);
         },
         &fresh);
   } else {
     // Role-diet / DBSCAN: the batch matched set is exactly {nonempty (a, b):
     // dist(a, b) <= thr}. At cacheable thresholds a matching pair either
-    // shares a column (Jaccard < 1 always intersects; an intersecting
-    // Hamming pair co-occurs by definition) or — Hamming only — is a
-    // *disjoint* pair of tiny rows with norm(a) + norm(b) <= thr. Mirroring
-    // the batch sweep's candidate structure keeps the frontier scan at
-    // candidate volume instead of |D| * n.
-    std::vector<std::vector<std::uint32_t>> by_col(matrix.cols());
-    for (std::size_t r = 0; r < matrix.rows(); ++r) {
-      for (std::uint32_t c : matrix.row(r)) by_col[c].push_back(static_cast<std::uint32_t>(r));
-    }
-    std::vector<std::uint32_t> tiny;  // hamming only: rows with 0 < norm < thr
+    // shares a column — and then a column of both rows' prefixes, so the
+    // prefix filter (methods/prefix_filter.hpp) reaches it — or, Hamming
+    // only, is a *disjoint* pair of tiny rows with norm(a) + norm(b) <= thr.
+    // The index is rebuilt from this version's matrix under the maintained
+    // degrees, so the frontier scan stays at candidate volume instead of
+    // |D| * n.
+    const methods::PrefixIndex index(matrix, degrees, verdict);
+    std::vector<std::uint32_t> tiny;  // hamming only: rows with 0 < norm < thr, by norm
     if (!jaccard_mode) {
       for (std::size_t r = 0; r < matrix.rows(); ++r) {
-        const std::size_t norm = store.row_size(r);
+        const std::size_t norm = matrix.row_size(r);
         if (norm > 0 && norm < thr) tiny.push_back(static_cast<std::uint32_t>(r));
       }
+      std::stable_sort(tiny.begin(), tiny.end(), [&](std::uint32_t a, std::uint32_t b) {
+        return matrix.row_size(a) < matrix.row_size(b);
+      });
     }
     outcome = methods::pair_pipeline(
         dirty.size(), matrix.rows(), options_.threads, /*grain=*/1, ctx,
         [&] {
-          // Per-worker dedupe stamps: each dirty row's candidates come from
-          // several column lists, but every (d, j) is evaluated once. The
-          // deduped candidate list is scored in one batched bounded-distance
-          // pass (same integers as per-pair calls).
-          return [&, seen = std::vector<std::size_t>(matrix.rows(), 0),
-                  stamp = std::size_t{0}, cand = std::vector<std::uint32_t>(),
-                  scores = std::vector<std::size_t>()](std::size_t d_slot,
-                                                       auto&& emit) mutable {
+          return [&, candidates = methods::PrefixCandidates(index)](std::size_t d_slot,
+                                                                    auto&& emit) mutable {
             const std::size_t d = dirty[d_slot];
-            const std::size_t d_norm = store.row_size(d);
-            if (d_norm == 0) return;
-            ++stamp;
-            cand.clear();
-            for (std::uint32_t c : matrix.row(d)) {
-              for (std::uint32_t j : by_col[c]) {
-                if (j == d || seen[j] == stamp || !emits_pair(d, j)) continue;
-                seen[j] = stamp;
-                cand.push_back(j);
-              }
+            const std::size_t d_norm = matrix.row_size(d);
+            // The tiny rows whose norm fits beside d's: a norm-sorted prefix.
+            std::span<const std::uint32_t> partners;
+            if (!jaccard_mode && d_norm > 0 && d_norm < thr) {
+              const auto end = std::partition_point(tiny.begin(), tiny.end(), [&](std::uint32_t j) {
+                return d_norm + matrix.row_size(j) <= thr;
+              });
+              partners = std::span<const std::uint32_t>(tiny.data(), end - tiny.begin());
             }
-            if (!jaccard_mode && d_norm < thr) {
-              for (std::uint32_t j : tiny) {
-                if (j == d || seen[j] == stamp || !emits_pair(d, j)) continue;
-                if (d_norm + store.row_size(j) > thr) continue;
-                seen[j] = stamp;
-                cand.push_back(j);
-              }
-            }
-            scores.resize(cand.size());
-            cluster::distance_bounded_gather(metric, store, d, cand, thr, scores.data());
-            for (std::size_t k = 0; k < cand.size(); ++k) emit(d, cand[k], scores[k]);
+            candidates.score(
+                d, store, [&](std::size_t j) { return emits_pair(d, j); }, emit, partners);
           };
         },
-        [thr](std::size_t, std::size_t, std::size_t v) { return v <= thr; }, &fresh);
+        [&](std::size_t a, std::size_t b, std::size_t g) {
+          return verdict.accepts(store.row_size(a), store.row_size(b), g);
+        },
+        &fresh);
   }
 
   return finish_delta(axis, std::move(outcome), std::move(fresh), dirty.size(), ctx, work);
@@ -550,14 +535,15 @@ AuditReport AuditEngine::reaudit() {
     };
 
     auto similar_phase = [&](PhaseTiming& timing, RoleGroups& out, FinderWorkStats& work,
-                             Axis& axis, const linalg::CsrMatrix& matrix) {
+                             Axis& axis, const linalg::CsrMatrix& matrix,
+                             std::span<const std::size_t> degrees) {
       const bool hnsw = options_.method == Method::kApproxHnsw;
       const bool cache_on = hnsw || cacheable_exact();
 
       if (audited_once_ && cache_on && axis.similar.valid) {
         const bool ran = run_phase(ctx, timing, out, [&](const util::ExecutionContext& c) {
           return hnsw ? hnsw_delta_similar(axis, matrix, c, work)
-                      : delta_similar(axis, matrix, c, work);
+                      : delta_similar(axis, matrix, degrees, c, work);
         });
         if (!ran) {
           // Skipped entirely: the dirty set is about to be cleared without
@@ -593,9 +579,10 @@ AuditReport AuditEngine::reaudit() {
     };
 
     similar_phase(report.similar_users_time, report.similar_user_groups,
-                  report.similar_users_work, users_axis_, ruam_);
+                  report.similar_users_work, users_axis_, ruam_, state_.user_degrees());
     similar_phase(report.similar_permissions_time, report.similar_permission_groups,
-                  report.similar_permissions_work, perms_axis_, rpam_);
+                  report.similar_permissions_work, perms_axis_, rpam_,
+                  state_.permission_degrees());
   } else {
     report.similar_users_time.timed_out = false;
     report.similar_permissions_time.timed_out = false;

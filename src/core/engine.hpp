@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -332,7 +333,10 @@ class AuditEngine {
   void mark_dirty(Axis& axis, Id role);
   [[nodiscard]] bool cacheable_exact() const;
 
+  /// `degrees` are the column degrees of `matrix` (the auditor maintains
+  /// them); they rank the prefix filter's columns.
   [[nodiscard]] RoleGroups delta_similar(Axis& axis, const linalg::CsrMatrix& matrix,
+                                         std::span<const std::size_t> degrees,
                                          const util::ExecutionContext& ctx,
                                          FinderWorkStats& work);
   [[nodiscard]] RoleGroups hnsw_delta_similar(Axis& axis, const linalg::CsrMatrix& matrix,

@@ -152,7 +152,7 @@ struct GroupFinderOptions {
   /// kAuto picks sparse below the density threshold. Groups, reports, and
   /// work counters are byte-identical for every choice; only the wall clock
   /// and bytes touched change. The role-diet method ignores this — its
-  /// inverted-index sweep is natively sparse and has no dense variant.
+  /// prefix-filtered sweep is natively sparse and has no dense variant.
   linalg::RowBackend backend = linalg::RowBackend::kAuto;
 };
 

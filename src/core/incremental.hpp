@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -102,6 +103,11 @@ class IncrementalAuditor {
   /// Number of roles currently assigned to `user`.
   [[nodiscard]] std::size_t user_degree(Id user) const { return user_degree_.at(user); }
   [[nodiscard]] std::size_t permission_degree(Id perm) const { return perm_degree_.at(perm); }
+  /// All degrees in id order: the column degrees of RUAM / RPAM.
+  [[nodiscard]] std::span<const std::size_t> user_degrees() const noexcept { return user_degree_; }
+  [[nodiscard]] std::span<const std::size_t> permission_degrees() const noexcept {
+    return perm_degree_;
+  }
 
   // ---- edge mutations ------------------------------------------------------
   /// Adds the edge; returns false when it already existed (no-op).

@@ -7,16 +7,17 @@
 
 #include "cluster/metric.hpp"
 #include "core/methods/method_common.hpp"
+#include "core/methods/prefix_filter.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rolediet::core::methods {
 
 namespace {
 
-/// Stage 1 for the co-occurrence variants: sweeps the inverted index
-/// accumulating g(i, j) for all j > i that share at least one column with
-/// row i, emitting each (i, j, g) into the shared pipeline, where `pred`
-/// verifies it.
+/// Stage 1 of the paper-literal ablation (SameStrategy::kCooccurrenceMatrix):
+/// sweeps the inverted index accumulating g(i, j) for all j > i that share at
+/// least one column with row i, emitting each (i, j, g) into the shared
+/// pipeline, where `pred` verifies it.
 ///
 /// Cost: sum over columns of degree(column)^2 / 2 counter increments — the
 /// sparse equivalent of forming the nonzero upper triangle of C = A A^T.
@@ -24,8 +25,7 @@ namespace {
 /// own; the emitted pair set is split-independent.
 template <typename Predicate>
 PairPipelineOutcome cooccurrence_sweep(const linalg::CsrMatrix& matrix, std::size_t threads,
-                                       const util::ExecutionContext& ctx, Predicate&& pred,
-                                       MatchedPairs* matched_sink = nullptr) {
+                                       const util::ExecutionContext& ctx, Predicate&& pred) {
   const std::size_t n = matrix.rows();
   const linalg::CsrMatrix transpose = matrix.transpose();
   return pair_pipeline(
@@ -47,7 +47,32 @@ PairPipelineOutcome cooccurrence_sweep(const linalg::CsrMatrix& matrix, std::siz
           touched.clear();
         };
       },
-      pred, matched_sink);
+      pred);
+}
+
+/// Stage 1 of the similar phases: every row's prefix-filter candidates j > i
+/// (prefix_filter.hpp), scored in one batched intersection pass per row and
+/// verified by `verdict` in the shared pipeline. The rarity order comes from
+/// this matrix's own column degrees.
+PairPipelineOutcome prefix_sweep(const linalg::CsrMatrix& matrix, SimilarVerdict verdict,
+                                 std::size_t threads, const util::ExecutionContext& ctx,
+                                 MatchedPairs* matched_sink) {
+  const std::size_t n = matrix.rows();
+  const std::vector<std::size_t> degrees = matrix.column_sums();
+  const PrefixIndex index(matrix, degrees, verdict);
+  const linalg::RowStore store(matrix);
+  return pair_pipeline(
+      n, n, threads, /*grain=*/256, ctx,  // over-decompose: later rows see fewer j > i pairs
+      [&] {
+        return [&store, candidates = PrefixCandidates(index)](std::size_t i,
+                                                               auto&& emit) mutable {
+          candidates.score(i, store, [i](std::size_t j) { return j > i; }, emit);
+        };
+      },
+      [&](std::size_t i, std::size_t j, std::size_t g) {
+        return verdict.accepts(matrix.row_size(i), matrix.row_size(j), g);
+      },
+      matched_sink);
 }
 
 }  // namespace
@@ -148,13 +173,10 @@ RoleGroups RoleDietGroupFinder::find_similar(const linalg::CsrMatrix& matrix,
   MatchedPairs* sink = pair_sink_;
   if (sink != nullptr) sink->clear();
 
-  // Pairs sharing at least one column: hamming = |Ri| + |Rj| - 2g.
-  PairPipelineOutcome outcome = cooccurrence_sweep(
-      matrix, options_.threads, ctx,
-      [&](std::size_t i, std::size_t j, std::size_t g) {
-        return matrix.row_size(i) + matrix.row_size(j) - 2 * g <= max_hamming;
-      },
-      sink);
+  // Pairs sharing at least one column: hamming = |Ri| + |Rj| - 2g, and the
+  // prefix filter reaches every one within the threshold.
+  PairPipelineOutcome outcome =
+      prefix_sweep(matrix, SimilarVerdict::hamming(max_hamming), options_.threads, ctx, sink);
 
   // Pairs sharing no column have hamming = |Ri| + |Rj|, which can still be
   // within threshold when both norms are tiny (|Ri|, |Rj| >= 1, so only
@@ -215,16 +237,11 @@ RoleGroups RoleDietGroupFinder::find_similar_jaccard(const linalg::CsrMatrix& ma
   if (sink != nullptr) sink->clear();
 
   // Below the ceiling a qualifying pair needs g >= 1, i.e. at least one
-  // shared column — exactly the pairs the sweep enumerates. The scaled
+  // shared column — so the prefix filter reaches every one. The scaled
   // distance uses the same integer formula as the dense kernel, so the
   // exact methods stay bit-identical.
-  PairPipelineOutcome outcome = cooccurrence_sweep(
-      matrix, options_.threads, ctx,
-      [&](std::size_t i, std::size_t j, std::size_t g) {
-        return cluster::jaccard_scaled_from_counts(matrix.row_size(i), matrix.row_size(j), g) <=
-               max_scaled;
-      },
-      sink);
+  PairPipelineOutcome outcome =
+      prefix_sweep(matrix, SimilarVerdict::jaccard(max_scaled), options_.threads, ctx, sink);
   return finalize_pipeline(std::move(outcome), matrix.rows(), work_);
 }
 

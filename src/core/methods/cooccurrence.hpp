@@ -21,16 +21,18 @@
 //    sum over users of degree(user)^2 — kept to quantify how much the hash
 //    shortcut buys (bench_ablation).
 //
-//  find_similar(t): sparse co-occurrence accumulation — for every role i,
-//    count g(i, j) for all j > i sharing at least one user (one sweep of the
-//    inverted index), then unite pairs with |Ri| + |Rj| - 2 g <= t. Pairs
-//    sharing *no* user have hamming = |Ri| + |Rj|; a norm-sorted sweep over
-//    the (rare) roles with |R| < t unites those too, so the result is exact:
-//    identical groups to DBSCAN on every input, deterministic, no recall
-//    loss.
+//  find_similar(t): the same identity over prefix-filtered candidates
+//    (prefix_filter.hpp) — for every role i, only the roles j > i whose t+1
+//    rarest users meet i's and that pass the length filter ||Ri| - |Rj|| <=
+//    t are scored (one batched intersection pass per role), then pairs with
+//    |Ri| + |Rj| - 2 g <= t unite. Every pair within t that shares a user is
+//    among them. Pairs sharing *no* user have hamming = |Ri| + |Rj|; a
+//    norm-sorted sweep over the (rare) roles with |R| < t unites those too,
+//    so the result is exact: identical groups to DBSCAN on every input,
+//    deterministic, no recall loss.
 //
 // Parallelism (Options::threads, convention in util/thread_pool.hpp): the
-// same-set hashing and every co-occurrence sweep split the row range across
+// same-set hashing and every candidate sweep split the row range across
 // the pool; each chunk accumulates matches into a private union-find that is
 // merged into the shared forest afterwards. The matched pair set and the
 // resulting connected components are independent of the split, so the
@@ -70,10 +72,11 @@ class RoleDietGroupFinder final : public GroupFinder {
                                      const util::ExecutionContext& ctx) const override;
   [[nodiscard]] RoleGroups find_similar(const linalg::CsrMatrix& matrix, std::size_t max_hamming,
                                         const util::ExecutionContext& ctx) const override;
-  /// Relative similarity via the same sparse sweep: Jaccard dissimilarity is
-  /// a function of (|Ri|, |Rj|, g) only, and any pair below the
-  /// kJaccardScale ceiling shares at least one column, so the inverted-index
-  /// sweep finds every qualifying pair — exact, like the Hamming variant.
+  /// Relative similarity via the same prefix-filtered sweep: Jaccard
+  /// dissimilarity is a function of (|Ri|, |Rj|, g) only, and any pair below
+  /// the kJaccardScale ceiling shares at least one column, so the filter
+  /// (with the Jaccard prefix length) finds every qualifying pair — exact,
+  /// like the Hamming variant.
   [[nodiscard]] RoleGroups find_similar_jaccard(const linalg::CsrMatrix& matrix,
                                                 std::size_t max_scaled,
                                                 const util::ExecutionContext& ctx) const override;

@@ -5,8 +5,8 @@
 // one three-stage shape — the enumerate-candidates-then-verify framing of the
 // role-mining literature:
 //   1. candidate generation  — method-specific: brute-force region scans,
-//      HNSW range queries, LSH band buckets, inverted-index co-occurrence
-//      sweeps, digest buckets;
+//      HNSW range queries, LSH band buckets, prefix-filter postings
+//      (prefix_filter.hpp), digest buckets;
 //   2. exact verification    — a predicate over RowStore kernel integers,
 //      fed in BATCHES: generators score a block of candidates per call into
 //      the SIMD-dispatched batch kernels (linalg/kernels — one query row

@@ -8,23 +8,13 @@
 #include "cluster/metric.hpp"
 #include "cluster/minhash.hpp"
 #include "core/methods/method_common.hpp"
+#include "core/methods/prefix_filter.hpp"
 #include "linalg/row_store.hpp"
-#include "util/prng.hpp"
 #include "util/timer.hpp"
 
 namespace rolediet::core {
 
 namespace {
-
-/// Hashed column-bucket signature for the exact-method exchange: one
-/// u32-sized bucket id per distinct column instead of the row itself. The
-/// full 32-bit width matters at scale — at ~10^5 distinct columns a 16-bit
-/// bucket space would already generate tens of thousands of birthday-collision
-/// candidates (collisions only add verify work, never wrong groups, but the
-/// cross-verification pass would stop being small against shard-local work).
-[[nodiscard]] std::uint32_t column_bucket(std::uint32_t col) noexcept {
-  return static_cast<std::uint32_t>(util::mix64(col));
-}
 
 /// Interns a restore image's names in id order; a repeated name means the
 /// image was not written by an engine.
@@ -225,6 +215,8 @@ RoleGroups ShardedEngine::sharded_similar(AxisKind axis, std::size_t threshold, 
   const std::size_t axis_cols =
       axis == AxisKind::kUsers ? state_.num_users() : state_.num_permissions();
   const auto norm = [&](Id gid) { return row(axis, gid).size(); };
+  const methods::SimilarVerdict verdict = jaccard ? methods::SimilarVerdict::jaccard(threshold)
+                                                  : methods::SimilarVerdict::hamming(threshold);
   cluster::UnionFind forest(num_roles);
   std::size_t rows_processed = 0;
   std::size_t pairs_evaluated = 0;
@@ -270,8 +262,12 @@ RoleGroups ShardedEngine::sharded_similar(AxisKind axis, std::size_t threshold, 
   // ---- stage 2: signature exchange ----------------------------------------
   // Only compact signatures cross shard boundaries: MinHash band digests for
   // the LSH method (so the candidate set stays exactly the band-collision
-  // set), hashed column buckets for the exhaustive methods (a superset of
-  // "shares a column" — safe, because every candidate is exactly verified).
+  // set), prefix tokens for the exhaustive methods — each row's
+  // prefix_length() rarest columns under the global (degree, id) order the
+  // auditor maintains. Two rows within the threshold that share a column
+  // share a prefix column (methods/prefix_filter.hpp), so the postings reach
+  // every cross pair that can match; the length filter drops the rest before
+  // stage 3 verifies exactly.
   std::vector<std::pair<Id, Id>> cross;
   if (!ctx.expired()) {
     if (options_.method == Method::kApproxMinhash) {
@@ -302,26 +298,16 @@ RoleGroups ShardedEngine::sharded_similar(AxisKind axis, std::size_t threshold, 
         }
       }
     } else {
-      std::unordered_map<std::uint32_t, std::vector<Id>> buckets;
-      std::vector<std::uint32_t> scratch;
+      const methods::PrefixIndex index(
+          num_roles,
+          axis == AxisKind::kUsers ? state_.user_degrees() : state_.permission_degrees(), verdict,
+          [&](std::size_t gid) { return row(axis, static_cast<Id>(gid)); });
+      stats.exchanged_signatures += index.entries();
+      methods::PrefixCandidates candidates(index);
       for (Id gid = 0; gid < num_roles; ++gid) {
         if (ctx.expired()) break;
-        if (norm(gid) == 0) continue;
-        scratch.clear();
-        for (const Id col : row(axis, gid)) scratch.push_back(column_bucket(col));
-        std::sort(scratch.begin(), scratch.end());
-        scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-        stats.exchanged_signatures += scratch.size();
-        for (const std::uint32_t bucket : scratch) buckets[bucket].push_back(gid);
-      }
-      for (const auto& [bucket, members] : buckets) {
-        for (std::size_t x = 0; x < members.size(); ++x) {
-          for (std::size_t y = x + 1; y < members.size(); ++y) {
-            if (owner_[members[x]] == owner_[members[y]]) continue;
-            cross.emplace_back(std::min(members[x], members[y]),
-                               std::max(members[x], members[y]));
-          }
-        }
+        const auto remote = [&](std::size_t j) { return j > gid && owner_[j] != owner_[gid]; };
+        for (const std::uint32_t j : candidates.collect(gid, remote)) cross.emplace_back(gid, j);
       }
     }
     std::sort(cross.begin(), cross.end());
@@ -372,12 +358,8 @@ RoleGroups ShardedEngine::sharded_similar(AxisKind axis, std::size_t threshold, 
       for (std::size_t i = begin; i < end; ++i) {
         const auto [a, b] = cross[i];
         const std::size_t g = inter[i - begin];
-        const std::size_t na = norm(a);
-        const std::size_t nb = norm(b);
-        const std::size_t d = jaccard ? cluster::jaccard_scaled_from_counts(na, nb, g)
-                                      : na + nb - 2 * g;
         ++pairs_evaluated;
-        if (d <= threshold) {
+        if (verdict.accepts(norm(a), norm(b), g)) {
           ++pairs_matched;
           ++stats.cross_matched;
           forest.unite(a, b);

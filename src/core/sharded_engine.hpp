@@ -16,8 +16,9 @@
 //  - type 5 runs the configured batch finder *per shard* (shard-local pair
 //    pipeline over a transient matrix with global column ids), then a
 //    cross-shard candidate exchange where only compact signatures travel —
-//    MinHash band digests for kApproxMinhash, hashed column buckets for the
-//    exact methods, plus the tiny-row norm sweep — and exact-verifies the
+//    MinHash band digests for kApproxMinhash, each row's prefix-filter
+//    tokens (core/methods/prefix_filter.hpp) for the exact methods, plus the
+//    tiny-row norm sweep — and exact-verifies the
 //    gathered candidate row pairs through the existing batch kernels before
 //    uniting them in a global union-find.
 //
@@ -28,10 +29,11 @@
 // sharding genuinely changes how much candidate work exists (that delta is
 // what bench_shard measures); the differential suite zeroes them before
 // comparing. Soundness argument for the candidate exchange, per method:
-// every cross-shard matched pair either shares a column (caught by the
-// column-bucket / band-digest exchange) or has norm sum <= threshold (caught
-// by the global tiny sweep); only exactly-verified pairs are ever united, so
-// no false positives can appear either.
+// every cross-shard matched pair either shares a column — then a column of
+// both rows' prefixes, caught by the prefix-token exchange (MinHash: its band
+// collisions) — or has norm sum <= threshold (caught by the global tiny
+// sweep); only exactly-verified pairs are ever united, so no false positives
+// can appear either.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +57,9 @@ namespace rolediet::core {
 struct ShardSimilarStats {
   /// Candidate pairs each shard's local finder evaluated (index = shard).
   std::vector<std::uint64_t> local_pairs_evaluated;
-  /// Signature entries published into the exchange (band digests or hashed
-  /// column buckets) — the bytes that actually travel between shards.
+  /// Signature entries published into the exchange (band digests, or each
+  /// row's prefix-filter tokens) — the bytes that actually travel between
+  /// shards.
   std::uint64_t exchanged_signatures = 0;
   /// Distinct cross-shard candidate pairs gathered for exact verification.
   std::uint64_t cross_candidates = 0;

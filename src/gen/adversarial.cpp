@@ -164,6 +164,11 @@ RbacDataset clone_chains(const AdversarialParams& params) {
 /// empty user name. Structure plants one duplicate pair and one similar
 /// pair so detection has findings to report through the hostile names.
 RbacDataset hostile_names(const AdversarialParams& params) {
+  // The planted pairs below use users[0..9], and there are scale + 1 users.
+  if (params.scale < 9) {
+    throw std::invalid_argument("hostile-names needs scale >= 9 (got " +
+                                std::to_string(params.scale) + ")");
+  }
   RbacDataset d;
   util::Xoshiro256 rng(params.seed);
   const std::vector<std::string> fragments{

@@ -61,7 +61,9 @@ inline constexpr std::array<AdversarialScenario, 5> kAllAdversarialScenarios{
 struct AdversarialParams {
   std::uint64_t seed = 1;
   /// Rough size knob; each scenario documents its meaning (wall pairs, hub
-  /// roles, chain length x count, name count, storm width).
+  /// roles, chain length x count, name count, storm width). hostile-names
+  /// needs at least 9 (its planted pairs use ten users) and throws
+  /// std::invalid_argument below that.
   std::size_t scale = 48;
   /// The wall straddles this Hamming threshold...
   std::size_t similarity_threshold = 2;

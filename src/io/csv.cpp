@@ -168,6 +168,11 @@ void for_each_row(const std::filesystem::path& path, const std::string& expected
 }  // namespace
 
 core::RbacDataset load_dataset(const std::filesystem::path& dir) {
+  // The three files are optional; the directory is not — a mistyped path
+  // must not audit as an empty dataset.
+  if (!std::filesystem::is_directory(dir)) {
+    throw CsvError("dataset directory " + dir.string() + " does not exist or is not a directory");
+  }
   core::RbacDataset data;
 
   for_each_row(dir / "entities.csv", "kind,name", /*optional=*/true,

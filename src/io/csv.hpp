@@ -45,7 +45,8 @@ bool read_csv_record(std::istream& in, std::string& record, std::size_t& physica
 
 /// Loads a dataset from a directory containing assignments.csv and
 /// grants.csv (either may be absent => no edges of that kind) and optional
-/// entities.csv. Entities are interned in file order.
+/// entities.csv. Entities are interned in file order. Throws CsvError naming
+/// the path when `dir` is not a directory.
 [[nodiscard]] core::RbacDataset load_dataset(const std::filesystem::path& dir);
 
 /// Writes assignments.csv, grants.csv, and entities.csv under `dir`

@@ -110,19 +110,6 @@ void RowStore::hamming_gather(std::size_t q, std::span<const std::uint32_t> idx,
   for (std::size_t k = 0; k < idx.size(); ++k) out[k] = hamming(q, idx[k]);
 }
 
-void RowStore::hamming_bounded_gather(std::size_t q, std::span<const std::uint32_t> idx,
-                                      std::size_t limit, std::size_t* out) const noexcept {
-  if (dense_ != nullptr) {
-    const auto& ops = kernels::active();
-    const auto qr = dense_->row(q);
-    const std::size_t n = dense_->words_per_row();
-    for (std::size_t k = 0; k < idx.size(); ++k)
-      out[k] = ops.hamming_bounded(qr.data(), dense_->row(idx[k]).data(), n, limit);
-    return;
-  }
-  for (std::size_t k = 0; k < idx.size(); ++k) out[k] = hamming_bounded(q, idx[k], limit);
-}
-
 void RowStore::intersection_gather(std::size_t q, std::span<const std::uint32_t> idx,
                                    std::size_t* out) const noexcept {
   if (dense_ != nullptr) {

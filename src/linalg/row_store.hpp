@@ -144,10 +144,6 @@ class RowStore {
   void hamming_gather(std::size_t q, std::span<const std::uint32_t> idx,
                       std::size_t* out) const noexcept;
 
-  /// out[k] = hamming_bounded(q, idx[k], limit) for k in [0, idx.size()).
-  void hamming_bounded_gather(std::size_t q, std::span<const std::uint32_t> idx,
-                              std::size_t limit, std::size_t* out) const noexcept;
-
   /// out[k] = intersection(q, idx[k]) for k in [0, idx.size()).
   void intersection_gather(std::size_t q, std::span<const std::uint32_t> idx,
                            std::size_t* out) const noexcept;

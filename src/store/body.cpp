@@ -116,6 +116,11 @@ MmapBody::MmapBody(const std::filesystem::path& path) {
   const std::uint64_t perms_cols = load<std::uint64_t>(base + 40);
   const std::uint64_t perms_nnz = load<std::uint64_t>(base + 48);
 
+  // Bound the counts by what the mapping could hold before any arithmetic
+  // on them: a hostile K or nnz would otherwise wrap the size past both
+  // checks below.
+  if (k > map_size_ / 20 || users_nnz > map_size_ / 4 || perms_nnz > map_size_ / 4)
+    reject("size mismatch");
   std::size_t payload = kHeaderBytes + (k + 1) * 16 + k * 4 + (users_nnz + perms_nnz) * 4;
   payload = (payload + 7) / 8 * 8;
   if (payload + 8 != map_size_) reject("size mismatch");

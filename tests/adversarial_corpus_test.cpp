@@ -20,6 +20,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -340,6 +341,42 @@ TEST(HubPermissionsTest, HubsTouchMostRolesAndFindingsStayBackendInvariant) {
   sparse_options.backend = linalg::RowBackend::kSparse;
   sparse_options.threads = 8;
   EXPECT_EQ(findings_text(dense), findings_text(core::audit(dataset, sparse_options)));
+}
+
+TEST(HubPermissionsTest, SimilarPhasesVerifyAboutOnePairPerRole) {
+  // Hubs make nearly every pair of roles co-occur, so a sweep over all
+  // co-occurring pairs grows with roles^2. The prefix filter skips the hubs
+  // (they are the most common columns), so each phase stays near the role
+  // count.
+  for (std::size_t scale : {std::size_t{24}, std::size_t{96}, std::size_t{384}}) {
+    SCOPED_TRACE("scale " + std::to_string(scale));
+    AdversarialParams params = small_params();
+    params.scale = scale;
+    const core::RbacDataset dataset =
+        gen::make_adversarial(AdversarialScenario::kHubPermissions, params);
+    const core::AuditReport report = core::audit(dataset, exact_options());
+    const std::size_t roles = dataset.num_roles();
+    EXPECT_LE(report.similar_users_work.pairs_evaluated, 2 * roles);
+    EXPECT_LE(report.similar_permissions_work.pairs_evaluated, 2 * roles);
+  }
+}
+
+TEST(HostileNamesTest, ScalesTooSmallForThePlantedPairsAreRejected) {
+  // The planted pairs use users[0..9]; a smaller scale has fewer users.
+  AdversarialParams params = small_params();
+  for (std::size_t scale = 0; scale < 9; ++scale) {
+    params.scale = scale;
+    EXPECT_THROW((void)gen::make_adversarial(AdversarialScenario::kHostileNames, params),
+                 std::invalid_argument)
+        << "scale " << scale;
+  }
+  params.scale = 9;
+  const core::RbacDataset dataset =
+      gen::make_adversarial(AdversarialScenario::kHostileNames, params);
+  const core::AuditReport report = core::audit(dataset, exact_options());
+  const auto sim_a = group_of(report.similar_user_groups, role_id(dataset, "sim🧨a"));
+  ASSERT_TRUE(sim_a.has_value());
+  EXPECT_EQ(sim_a, group_of(report.similar_user_groups, role_id(dataset, "sim🧨b")));
 }
 
 TEST(StandaloneStormTest, StructuralCountsMatchTheGeneratorContract) {

@@ -102,6 +102,19 @@ TEST(CsvDataset, EmptyDirectoryLoadsEmptyDataset) {
   EXPECT_EQ(d.num_roles(), 0u);
 }
 
+TEST(CsvDataset, MissingDirectoryThrowsNamingThePath) {
+  TempDir dir;
+  write_file(dir.path() / "assignments.csv", "role,user\nadmin,alice\n");
+  for (const fs::path& path : {dir.path() / "no-such-dir", dir.path() / "assignments.csv"}) {
+    try {
+      (void)load_dataset(path);
+      ADD_FAILURE() << "expected CsvError for " << path;
+    } catch (const CsvError& e) {
+      EXPECT_NE(std::string(e.what()).find(path.string()), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(CsvDataset, BadHeaderThrows) {
   TempDir dir;
   write_file(dir.path() / "assignments.csv", "user,role\nalice,admin\n");

@@ -277,10 +277,6 @@ TEST(RowStoreBatch, BlockAndGatherMatchSinglePairOnEveryHostIsa) {
 
       const std::vector<std::uint32_t> idx{0, 36, 7, 7, 18, 2};
       std::vector<std::size_t> gout(idx.size(), 0);
-      store.hamming_bounded_gather(q, idx, limit, gout.data());
-      for (std::size_t k = 0; k < idx.size(); ++k)
-        EXPECT_EQ(gout[k], store.hamming_bounded(q, idx[k], limit)) << kernels::to_string(isa);
-
       store.intersection_gather(q, idx, gout.data());
       for (std::size_t k = 0; k < idx.size(); ++k)
         EXPECT_EQ(gout[k], store.intersection(q, idx[k])) << kernels::to_string(isa);

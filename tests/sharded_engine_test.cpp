@@ -23,6 +23,7 @@
 #include "cluster/metric.hpp"
 #include "core/engine.hpp"
 #include "core/framework.hpp"
+#include "core/methods/prefix_filter.hpp"
 #include "core/sharded_engine.hpp"
 #include "gen/churn.hpp"
 #include "gen/matrix_generator.hpp"
@@ -309,6 +310,53 @@ TEST(ShardedEngineUnit, ShardWorkCountersSeparateLocalFromCrossWork) {
   // Verified cross matches can never exceed the gathered candidates.
   EXPECT_LE(work.users.cross_matched, work.users.cross_candidates);
 }
+
+/// The exchange ships prefix tokens only: at most each non-empty row's
+/// prefix_length() columns per axis, whatever the method's local finder.
+class ShardExchange : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ShardExchange, ExchangeShipsAtMostEachRowsPrefixTokens) {
+  const core::RbacDataset dataset = dataset_from(workload(3), workload(8));
+  const auto prefix_tokens = [](const linalg::CsrMatrix& m,
+                                const core::methods::SimilarVerdict& verdict) {
+    std::size_t total = 0;
+    for (std::size_t r = 0; r < m.rows(); ++r) total += verdict.prefix_length(m.row_size(r));
+    return total;
+  };
+  for (Method method : {Method::kRoleDiet, Method::kExactDbscan}) {
+    for (const bool jaccard : {false, true}) {
+      for (std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+        if (jaccard && t > 1) continue;
+        AuditOptions options;
+        options.method = method;
+        options.threads = GetParam();
+        options.similarity_threshold = t;
+        if (jaccard) {
+          options.similarity_mode = core::SimilarityMode::kJaccard;
+          options.jaccard_dissimilarity = 0.3;
+        }
+        const auto verdict =
+            jaccard ? core::methods::SimilarVerdict::jaccard(core::jaccard_threshold(0.3))
+                    : core::methods::SimilarVerdict::hamming(t);
+        SCOPED_TRACE(std::string(core::to_string(method)) + (jaccard ? " jaccard" : " t=") +
+                     (jaccard ? "" : std::to_string(t)));
+        ShardedEngine engine(dataset, /*shards=*/4, options);
+        const core::AuditReport report = engine.reaudit();
+        const core::ShardWorkSnapshot& work = engine.last_shard_work();
+        EXPECT_GT(work.users.exchanged_signatures, 0u);
+        EXPECT_LE(work.users.exchanged_signatures, prefix_tokens(dataset.ruam(), verdict));
+        EXPECT_LE(work.perms.exchanged_signatures, prefix_tokens(dataset.rpam(), verdict));
+        core::AuditEngine unsharded(dataset, options);
+        EXPECT_EQ(findings_text(report), findings_text(unsharded.reaudit()));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ShardExchange, ::testing::Values(1u, 8u),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return "T" + std::to_string(info.param);
+                         });
 
 TEST(ShardedEngineUnit, ZeroShardsRejected) {
   EXPECT_THROW(ShardedEngine(testing::figure1_dataset(), 0), std::invalid_argument);

@@ -326,6 +326,41 @@ TEST(ShardedStoreLayout, HostileCountsInDigestValidFilesFailTheOpen) {
   EXPECT_THROW((void)ShardedEngineStore::open(dir, default_options()), store::StoreError);
 }
 
+/// A digest-valid body whose role count K is chosen so that the expected
+/// size wraps around u64 to the file's real size: the open must reject the
+/// counts before the row-pointer scan walks K entries past the mapping.
+TEST(ShardedStoreLayout, WrappingBodyCountsInDigestValidFileFailTheOpen) {
+  ScopedTempDir root("shardwrap");
+  const fs::path dir = root.file("store");
+  (void)ShardedEngineStore::create(dir, testing::figure1_dataset(), 1, default_options());
+  fs::path body;
+  for (const auto& entry : fs::directory_iterator(dir / "shard-000")) {
+    if (entry.path().extension() == ".rdbody") body = entry.path();
+  }
+  ASSERT_FALSE(body.empty());
+  const std::string original = slurp(body);
+
+  // Header: magic, version, axes, then K, users cols, users nnz, perms cols,
+  // perms nnz. With K = 2^62 + 200, 16(K+1) + 4K wraps to 3216 + 800 bytes,
+  // so 56 + 4016 + 4 * (nnz = 4) + the digest is exactly 4096 bytes.
+  const std::uint64_t k = (std::uint64_t{1} << 62) + 200;
+  std::string bytes = original.substr(0, 16);
+  put_le(bytes, k, 8);
+  for (const std::uint64_t field : {std::uint64_t{5}, std::uint64_t{4}, std::uint64_t{4},
+                                    std::uint64_t{0}}) {
+    put_le(bytes, field, 8);
+  }
+  bytes.resize(4096 - 8, '\0');
+  std::ofstream(body, std::ios::binary | std::ios::trunc) << with_digest(bytes);
+  ASSERT_EQ(fs::file_size(body), 4096u);
+  try {
+    (void)ShardedEngineStore::open(dir, default_options());
+    ADD_FAILURE() << "expected StoreError";
+  } catch (const store::StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("size mismatch"), std::string::npos) << e.what();
+  }
+}
+
 /// A digest-valid body can still hold a row that is not a sorted set of
 /// known ids; the open must fail with StoreError, not hand the row to WAL
 /// replay (which binary-searches it) or to the first reaudit.
