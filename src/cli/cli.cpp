@@ -127,6 +127,7 @@ void write_text_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) throw std::runtime_error("cannot write " + path);
   out << content;
+  io::close_or_throw(out, path);
 }
 
 /// `--shards N` opt-in for store-creating verbs and `audit`. Absent means the
@@ -369,6 +370,7 @@ int cmd_churn(Args& args, std::ostream& out) {
     std::ofstream journal(*journal_path, std::ios::binary);
     if (!journal) throw std::runtime_error("cannot write journal " + *journal_path);
     const gen::ChurnStats stats = gen::write_churn_journal(journal, config);
+    io::close_or_throw(journal, *journal_path);
     out << "churn: " << stats.mutations << " mutations over " << stats.days << " days ("
         << config.years << " years, seed " << config.seed << ") -> " << *journal_path
         << "\n";
@@ -430,6 +432,7 @@ int cmd_churn(Args& args, std::ostream& out) {
           << " records)\n";
     }
   }
+  if (journal) io::close_or_throw(*journal, *journal_path);
   const gen::ChurnStats& stats = sim.stats();
   out << "churn: done — " << stats.mutations << " mutations, " << stats.hires << " hires, "
       << stats.departures << " departures, " << stats.transfers << " transfers, "

@@ -103,23 +103,23 @@ void AuditEngine::mark_dirty(Axis& axis, Id role) {
   axis.dirty[role] = 1;
 }
 
-Id AuditEngine::add_user(std::string name) {
+Id AuditEngine::add_user(std::string_view name) {
   const std::size_t before = state_.num_users();
-  const Id id = state_.add_user(std::move(name));
+  const Id id = state_.add_user(name);
   if (state_.num_users() != before) ++version_;  // columns grew; no row mutated
   return id;
 }
 
-Id AuditEngine::add_permission(std::string name) {
+Id AuditEngine::add_permission(std::string_view name) {
   const std::size_t before = state_.num_permissions();
-  const Id id = state_.add_permission(std::move(name));
+  const Id id = state_.add_permission(name);
   if (state_.num_permissions() != before) ++version_;
   return id;
 }
 
-Id AuditEngine::add_role(std::string name) {
+Id AuditEngine::add_role(std::string_view name) {
   const std::size_t before = state_.num_roles();
-  const Id id = state_.add_role(std::move(name));
+  const Id id = state_.add_role(name);
   if (state_.num_roles() != before) {
     // A new (empty) role is a new row on both matrices.
     mark_dirty(users_axis_, id);

@@ -208,9 +208,9 @@ class AuditEngine {
 
   /// Name-interning entity adds, mirroring IncrementalAuditor::add_*
   /// (existing name -> existing id, no duplicate entity).
-  Id add_user(std::string name);
-  Id add_role(std::string name);
-  Id add_permission(std::string name);
+  Id add_user(std::string_view name);
+  Id add_role(std::string_view name);
+  Id add_permission(std::string_view name);
 
   /// Id-based edge mutations; return false on no-ops, throw
   /// std::out_of_range on unknown ids (same contract as IncrementalAuditor).

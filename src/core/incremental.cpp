@@ -54,20 +54,20 @@ IncrementalAuditor::IncrementalAuditor(const RbacDataset& snapshot)
 
 // -------------------------------------------------------------- entities ---
 
-Id IncrementalAuditor::add_user(std::string name) {
-  const auto [id, added] = user_names_.intern(std::move(name));
+Id IncrementalAuditor::add_user(std::string_view name) {
+  const auto [id, added] = user_names_.intern(name);
   if (added) user_degree_.push_back(0);
   return id;
 }
 
-Id IncrementalAuditor::add_permission(std::string name) {
-  const auto [id, added] = perm_names_.intern(std::move(name));
+Id IncrementalAuditor::add_permission(std::string_view name) {
+  const auto [id, added] = perm_names_.intern(name);
   if (added) perm_degree_.push_back(0);
   return id;
 }
 
-Id IncrementalAuditor::add_role(std::string name) {
-  const auto [id, added] = role_names_.intern(std::move(name));
+Id IncrementalAuditor::add_role(std::string_view name) {
+  const auto [id, added] = role_names_.intern(name);
   if (added) roles_.emplace_back();
   return id;
 }

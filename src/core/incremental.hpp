@@ -59,9 +59,9 @@ class IncrementalAuditor {
   // returns the *existing* id — entities are never duplicated, renamed, or
   // reset by a repeated add. Journals therefore replay idempotently: an
   // `add-role` record for a known role cannot fork a second copy of it.
-  Id add_user(std::string name);
-  Id add_role(std::string name);
-  Id add_permission(std::string name);
+  Id add_user(std::string_view name);
+  Id add_role(std::string_view name);
+  Id add_permission(std::string_view name);
 
   /// Id lookup by exact name; nullopt when the name was never added. The
   /// journal applier uses these to make revocations of unknown names no-ops.

@@ -1,6 +1,7 @@
 #include "core/model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <functional>
 #include <stdexcept>
@@ -18,22 +19,51 @@ std::string_view to_string(NodeKind kind) noexcept {
 
 // ------------------------------------------------------------- NameTable ---
 
-std::pair<Id, bool> NameTable::intern(std::string name) {
-  if (2 * (names_.size() + 1) > slots_.size()) {
-    rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+std::size_t NameTable::hash(std::string_view name) noexcept {
+  return std::hash<std::string_view>{}(name);
+}
+
+std::pair<Id, bool> NameTable::intern(std::string_view name) {
+  make_room(1);
+  return insert(name, hash(name));
+}
+
+void NameTable::intern(std::span<const std::string_view> names, std::span<Id> ids) {
+  if (names.size() != ids.size())
+    throw std::invalid_argument("NameTable::intern: names and ids differ in size");
+  std::array<std::size_t, kBatch> hashes{};
+  for (std::size_t base = 0; base < names.size(); base += kBatch) {
+    const std::size_t n = std::min(kBatch, names.size() - base);
+    const std::span<const std::string_view> round = names.subspan(base, n);
+    // Room for the whole round first, so no rehash moves a slot between its
+    // prefetch and its probe.
+    make_room(n);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      hashes[i] = hash(round[i]);
+      __builtin_prefetch(&slots_[hashes[i] & mask]);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const Id id = slots_[hashes[i] & mask];
+      if (id != kEmptySlot) __builtin_prefetch(&names_[id]);
+    }
+    for (std::size_t i = 0; i < n; ++i) ids[base + i] = insert(round[i], hashes[i]).first;
   }
-  const std::size_t slot = probe(name);
+}
+
+std::pair<Id, bool> NameTable::insert(std::string_view name, std::size_t hash) {
+  const std::size_t slot = probe(name, hash);
   if (slots_[slot] != kEmptySlot) return {slots_[slot], false};
   if (names_.size() >= kEmptySlot) throw std::length_error("NameTable: id space exhausted");
   const Id id = static_cast<Id>(names_.size());
+  names_.emplace_back(name);
   slots_[slot] = id;
-  names_.push_back(std::move(name));
   return {id, true};
 }
 
 std::optional<Id> NameTable::find(std::string_view name) const noexcept {
   if (slots_.empty()) return std::nullopt;
-  const Id id = slots_[probe(name)];
+  const Id id = slots_[probe(name, hash(name))];
   if (id == kEmptySlot) return std::nullopt;
   return id;
 }
@@ -43,10 +73,15 @@ void NameTable::reserve(std::size_t n) {
   if (2 * n > slots_.size()) rehash(std::bit_ceil(2 * n));
 }
 
-std::size_t NameTable::probe(std::string_view name) const noexcept {
+void NameTable::make_room(std::size_t n) {
+  const std::size_t need = 2 * (names_.size() + n);
+  if (need > slots_.size())
+    rehash(std::max({std::size_t{16}, 2 * slots_.size(), std::bit_ceil(need)}));
+}
+
+std::size_t NameTable::probe(std::string_view name, std::size_t hash) const noexcept {
   const std::size_t mask = slots_.size() - 1;
-  for (std::size_t slot = std::hash<std::string_view>{}(name) & mask;;
-       slot = (slot + 1) & mask) {
+  for (std::size_t slot = hash & mask;; slot = (slot + 1) & mask) {
     const Id id = slots_[slot];
     if (id == kEmptySlot || names_[id] == name) return slot;
   }
@@ -54,7 +89,7 @@ std::size_t NameTable::probe(std::string_view name) const noexcept {
 
 void NameTable::rehash(std::size_t slots) {
   slots_.assign(slots, kEmptySlot);
-  for (Id id = 0; id < names_.size(); ++id) slots_[probe(names_[id])] = id;
+  for (Id id = 0; id < names_.size(); ++id) slots_[probe(names_[id], hash(names_[id]))] = id;
 }
 
 // ----------------------------------------------------------- RbacDataset ---
@@ -100,22 +135,42 @@ RbacDataset RbacDataset::from_compiled(NameTable users, NameTable roles, NameTab
   return out;
 }
 
-Id RbacDataset::add_user(std::string name) {
-  const auto [id, added] = users_.intern(std::move(name));
+Id RbacDataset::add_user(std::string_view name) {
+  const auto [id, added] = users_.intern(name);
   if (added) invalidate();
   return id;
 }
 
-Id RbacDataset::add_role(std::string name) {
-  const auto [id, added] = roles_.intern(std::move(name));
+Id RbacDataset::add_role(std::string_view name) {
+  const auto [id, added] = roles_.intern(name);
   if (added) invalidate();
   return id;
 }
 
-Id RbacDataset::add_permission(std::string name) {
-  const auto [id, added] = perms_.intern(std::move(name));
+Id RbacDataset::add_permission(std::string_view name) {
+  const auto [id, added] = perms_.intern(name);
   if (added) invalidate();
   return id;
+}
+
+NameTable& RbacDataset::table(NodeKind kind) noexcept {
+  switch (kind) {
+    case NodeKind::kUser: return users_;
+    case NodeKind::kRole: return roles_;
+    case NodeKind::kPermission: return perms_;
+  }
+  return users_;
+}
+
+void RbacDataset::add_entities(NodeKind kind, std::span<const std::string_view> names) {
+  NameTable& entities = table(kind);
+  const std::size_t before = entities.size();
+  std::array<Id, NameTable::kBatch> ids{};
+  for (std::size_t base = 0; base < names.size(); base += NameTable::kBatch) {
+    const std::size_t n = std::min(NameTable::kBatch, names.size() - base);
+    entities.intern(names.subspan(base, n), std::span(ids).first(n));
+  }
+  if (entities.size() != before) invalidate();
 }
 
 Id RbacDataset::add_users(std::size_t n, std::string_view prefix) {
@@ -155,6 +210,32 @@ void RbacDataset::grant_permission(Id role, Id perm) {
   if (perm >= num_permissions()) throw std::out_of_range("grant_permission: unknown permission id");
   role_perm_edges_.emplace_back(role, perm);
   invalidate();
+}
+
+void RbacDataset::assign_users(std::span<const std::string_view> roles,
+                               std::span<const std::string_view> users) {
+  add_edges(roles, users, users_, role_user_edges_);
+}
+
+void RbacDataset::grant_permissions(std::span<const std::string_view> roles,
+                                    std::span<const std::string_view> perms) {
+  add_edges(roles, perms, perms_, role_perm_edges_);
+}
+
+void RbacDataset::add_edges(std::span<const std::string_view> roles,
+                            std::span<const std::string_view> names, NameTable& columns,
+                            std::vector<std::pair<Id, Id>>& edges) {
+  if (roles.size() != names.size())
+    throw std::invalid_argument("RbacDataset: edge name lists differ in size");
+  std::array<Id, NameTable::kBatch> role_ids{};
+  std::array<Id, NameTable::kBatch> column_ids{};
+  for (std::size_t base = 0; base < roles.size(); base += NameTable::kBatch) {
+    const std::size_t n = std::min(NameTable::kBatch, roles.size() - base);
+    roles_.intern(roles.subspan(base, n), std::span(role_ids).first(n));
+    columns.intern(names.subspan(base, n), std::span(column_ids).first(n));
+    for (std::size_t i = 0; i < n; ++i) edges.emplace_back(role_ids[i], column_ids[i]);
+  }
+  if (!roles.empty()) invalidate();
 }
 
 const linalg::CsrMatrix& RbacDataset::ruam() const {

@@ -41,8 +41,19 @@ enum class NodeKind { kUser, kRole, kPermission };
 /// what lets datasets and engines hand their names to each other in bulk.
 class NameTable {
  public:
+  /// Names one batch round resolves (see the batch intern).
+  static constexpr std::size_t kBatch = 64;
+
   /// The name's id, and whether this call added it (false: already known).
-  std::pair<Id, bool> intern(std::string name);
+  /// Copies the name only when it is new.
+  std::pair<Id, bool> intern(std::string_view name);
+  /// Interns `names` in order and writes their ids to `ids` (same size):
+  /// the ids one intern() call per name would give. Each round of kBatch
+  /// names hashes them all and prefetches their home slots, then prefetches
+  /// the name each occupied home slot holds, then resolves them in order, so
+  /// a round's two dependent cache misses per name overlap instead of
+  /// queueing. Throws std::invalid_argument when the sizes differ.
+  void intern(std::span<const std::string_view> names, std::span<Id> ids);
   /// Id of `name`; nullopt if unknown.
   [[nodiscard]] std::optional<Id> find(std::string_view name) const noexcept;
   /// Name of `id`; throws std::out_of_range on an unknown id.
@@ -54,9 +65,14 @@ class NameTable {
 
  private:
   static constexpr Id kEmptySlot = ~Id{0};
-  /// The slot holding `name`'s id, or the empty slot it would go in.
-  /// Precondition: slots_ is non-empty.
-  [[nodiscard]] std::size_t probe(std::string_view name) const noexcept;
+  [[nodiscard]] static std::size_t hash(std::string_view name) noexcept;
+  /// The slot holding `name`'s id, or the empty slot it would go in, probing
+  /// from `name`'s hash. Precondition: slots_ is non-empty.
+  [[nodiscard]] std::size_t probe(std::string_view name, std::size_t hash) const noexcept;
+  /// Grows the slots so that `n` more names fit under the load limit.
+  void make_room(std::size_t n);
+  /// intern() once make_room(1) has run.
+  std::pair<Id, bool> insert(std::string_view name, std::size_t hash);
   void rehash(std::size_t slots);
 
   std::vector<std::string> names_;
@@ -80,11 +96,13 @@ class RbacDataset {
   // ---- entity management -------------------------------------------------
 
   /// Interns a user by name; returns the existing id if already present.
-  Id add_user(std::string name);
+  Id add_user(std::string_view name);
   /// Interns a role by name; returns the existing id if already present.
-  Id add_role(std::string name);
+  Id add_role(std::string_view name);
   /// Interns a permission by name; returns the existing id if already present.
-  Id add_permission(std::string name);
+  Id add_permission(std::string_view name);
+  /// Interns `names` in order as entities of `kind`, a batch at a time.
+  void add_entities(NodeKind kind, std::span<const std::string_view> names);
 
   /// Creates `n` anonymous entities named "<prefix><index>"; returns the id
   /// of the first. Used by generators to bulk-create entities cheaply.
@@ -117,6 +135,15 @@ class RbacDataset {
   void assign_user(Id role, Id user);
   /// Grants `perm` to `role` (RPAM edge).
   void grant_permission(Id role, Id perm);
+
+  /// By name, in bulk: for each i, what add_role(roles[i]), add_user(users[i])
+  /// and assign_user on their ids do, with the names resolved a batch at a
+  /// time. Throws std::invalid_argument when the sizes differ.
+  void assign_users(std::span<const std::string_view> roles,
+                    std::span<const std::string_view> users);
+  /// The same for grants: add_role, add_permission, grant_permission.
+  void grant_permissions(std::span<const std::string_view> roles,
+                         std::span<const std::string_view> perms);
 
   [[nodiscard]] std::size_t num_user_assignments() const noexcept {
     return role_user_edges_.size();
@@ -168,6 +195,10 @@ class RbacDataset {
     rpam_cache_.reset();
     user_roles_cache_.reset();
   }
+
+  NameTable& table(NodeKind kind) noexcept;
+  void add_edges(std::span<const std::string_view> roles, std::span<const std::string_view> names,
+                 NameTable& columns, std::vector<std::pair<Id, Id>>& edges);
 
   NameTable users_;
   NameTable roles_;

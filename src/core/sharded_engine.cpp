@@ -16,15 +16,16 @@ namespace rolediet::core {
 
 namespace {
 
-/// Interns a restore image's names in id order; a repeated name means the
-/// image was not written by an engine.
+/// Interns a restore image's names in id order, releasing each as it is
+/// copied; a repeated name means the image was not written by an engine.
 [[nodiscard]] NameTable restored_names(std::vector<std::string> names) {
   NameTable table;
   table.reserve(names.size());
   for (std::string& name : names) {
-    if (!table.intern(std::move(name)).second) {
+    if (!table.intern(name).second) {
       throw std::invalid_argument("ShardedEngine: duplicate entity names in restore image");
     }
+    std::string().swap(name);
   }
   return table;
 }
@@ -128,23 +129,23 @@ bool ShardedEngine::counted(bool changed) noexcept {
   return changed;
 }
 
-Id ShardedEngine::add_user(std::string name) {
+Id ShardedEngine::add_user(std::string_view name) {
   const std::size_t before = state_.num_users();
-  const Id id = state_.add_user(std::move(name));
+  const Id id = state_.add_user(name);
   counted(state_.num_users() != before);
   return id;
 }
 
-Id ShardedEngine::add_permission(std::string name) {
+Id ShardedEngine::add_permission(std::string_view name) {
   const std::size_t before = state_.num_permissions();
-  const Id id = state_.add_permission(std::move(name));
+  const Id id = state_.add_permission(name);
   counted(state_.num_permissions() != before);
   return id;
 }
 
-Id ShardedEngine::add_role(std::string name) {
+Id ShardedEngine::add_role(std::string_view name) {
   const std::size_t before = state_.num_roles();
-  const Id id = state_.add_role(std::move(name));
+  const Id id = state_.add_role(name);
   if (counted(state_.num_roles() != before)) register_role(id);
   return id;
 }

@@ -122,9 +122,9 @@ class ShardedEngine {
   void apply(const RbacDelta& delta);
 
   /// Name-interning entity adds; a new role joins the partition.
-  Id add_user(std::string name);
-  Id add_role(std::string name);
-  Id add_permission(std::string name);
+  Id add_user(std::string_view name);
+  Id add_role(std::string_view name);
+  Id add_permission(std::string_view name);
 
   /// Id-based edge mutations; false on no-ops, std::out_of_range on unknown
   /// ids.

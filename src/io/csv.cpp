@@ -1,114 +1,179 @@
 #include "io/csv.hpp"
 
-#include <fstream>
+#include <array>
+#include <cstring>
 
 namespace rolediet::io {
 
-std::vector<std::string> parse_csv_line(const std::string& line) {
-  // RFC 4180 state machine. A quote is only meaningful at the start of a
-  // field; a quote in the middle of an unquoted field, or any character
-  // other than a comma after a closing quote, is rejected rather than
-  // silently kept as a literal.
-  enum class State { kFieldStart, kUnquoted, kQuoted, kQuoteClosed };
-  std::vector<std::string> fields;
-  std::string current;
-  State state = State::kFieldStart;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    const char c = line[i];
-    switch (state) {
-      case State::kFieldStart:
-        if (c == '"') {
-          state = State::kQuoted;
-          ++i;
-          continue;
-        }
-        state = State::kUnquoted;
-        continue;  // reprocess c as unquoted content
-      case State::kUnquoted:
-        if (c == '"')
-          throw CsvError("quote opening mid-field (quote the whole field): " + line);
-        if (c == ',') {
-          fields.push_back(std::move(current));
-          current.clear();
-          state = State::kFieldStart;
-          ++i;
-          continue;
-        }
-        if (c == '\r' && i + 1 == line.size()) {
-          ++i;  // tolerate CRLF line endings
-          continue;
-        }
-        current.push_back(c);
-        ++i;
-        continue;
-      case State::kQuoted:
-        if (c == '"') {
-          if (i + 1 < line.size() && line[i + 1] == '"') {
-            current.push_back('"');
-            i += 2;
-            continue;
-          }
-          state = State::kQuoteClosed;
-          ++i;
-          continue;
-        }
-        current.push_back(c);
-        ++i;
-        continue;
-      case State::kQuoteClosed:
-        if (c == ',') {
-          fields.push_back(std::move(current));
-          current.clear();
-          state = State::kFieldStart;
-          ++i;
-          continue;
-        }
-        if (c == '\r' && i + 1 == line.size()) {
-          ++i;
-          continue;
-        }
-        throw CsvError("unexpected character after closing quote: " + line);
-    }
+// -------------------------------------------------------------- CsvReader ---
+
+CsvReader::CsvReader(std::istream& in, std::string source, std::size_t block_size)
+    : in_(&in),
+      source_(std::move(source)),
+      capacity_(std::max<std::size_t>(block_size, 1)) {
+  // For overwrite: a fresh buffer is never zero-filled, so a small input
+  // touches only the pages it is read into.
+  buffer_ = std::make_unique_for_overwrite<char[]>(capacity_);
+}
+
+CsvReader::CsvReader(std::string_view record)
+    : buffer_(std::make_unique_for_overwrite<char[]>(record.size())),
+      capacity_(record.size()),
+      end_(record.size()),
+      eof_(true) {
+  if (!record.empty()) std::memcpy(buffer_.get(), record.data(), record.size());
+}
+
+void CsvReader::fail(const std::string& what) const {
+  if (source_.empty()) throw CsvError(what);
+  throw CsvError(source_ + ":" + std::to_string(line_) + ": " + what);
+}
+
+bool CsvReader::fill() {
+  if (eof_) return false;
+  if (begin_ > 0) {
+    std::memmove(buffer_.get(), buffer_.get() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  } else if (end_ == capacity_) {
+    // One record fills the whole buffer: the only case that grows it.
+    auto bigger = std::make_unique_for_overwrite<char[]>(2 * capacity_);
+    std::memcpy(bigger.get(), buffer_.get(), end_);
+    buffer_ = std::move(bigger);
+    capacity_ *= 2;
   }
-  if (state == State::kQuoted) throw CsvError("unterminated quoted field: " + line);
-  fields.push_back(std::move(current));
-  return fields;
+  const std::size_t want = capacity_ - end_;
+  in_->read(buffer_.get() + end_, static_cast<std::streamsize>(want));
+  if (in_->bad()) fail("read failed");
+  const auto got = static_cast<std::size_t>(in_->gcount());
+  end_ += got;
+  if (got < want) eof_ = true;
+  return got > 0;
+}
+
+std::optional<CsvRecord> CsvReader::next() {
+  if (in_ == nullptr) {  // the in-memory record: once, even when blank
+    if (line_ > 0) return std::nullopt;
+    line_ = next_line_;
+    (void)split();
+    return CsvRecord{fields_, line_};
+  }
+  for (;;) {
+    line_ = next_line_;
+    if (begin_ == end_ && !fill()) return std::nullopt;
+    std::optional<std::size_t> size;
+    while (!(size = split())) (void)fill();
+    // Blank: an empty line, or a lone '\r' (one byte, one empty field).
+    if (*size > 1 || fields_.size() > 1 || !fields_[0].empty()) return CsvRecord{fields_, line_};
+  }
 }
 
 namespace {
 
-/// True when a quote-parity scan of `text` ends inside an open quoted field.
-/// Escaped quotes ("") toggle twice, so they cancel out; literal quotes in
-/// unquoted fields are rejected by parse_csv_line later anyway.
-bool ends_inside_quotes(const std::string& text) {
-  bool quoted = false;
-  for (char c : text) {
-    if (c == '"') quoted = !quoted;
-  }
-  return quoted;
+/// The bytes that stop an unquoted field. In a stream a line break ends the
+/// record; in an in-memory record it is content.
+constexpr std::array<bool, 256> stops(bool line_break) {
+  std::array<bool, 256> out{};
+  out[','] = out['"'] = true;
+  out['\n'] = line_break;
+  return out;
+}
+constexpr std::array<bool, 256> kStreamStops = stops(true);
+constexpr std::array<bool, 256> kRecordStops = stops(false);
+
+/// A quoting error's message: the reason, then the record from its start to
+/// the end of the line that holds the error.
+std::string quoting_error(const char* what, const char* text, std::size_t size, std::size_t at) {
+  const void* line_break = std::memchr(text + at, '\n', size - at);
+  return std::string(what).append(
+      text, line_break ? static_cast<std::size_t>(static_cast<const char*>(line_break) - text)
+                       : size);
 }
 
 }  // namespace
 
-bool read_csv_record(std::istream& in, std::string& record, std::size_t& physical_lines) {
-  record.clear();
-  physical_lines = 0;
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  ++physical_lines;
-  record = std::move(line);
-  // A record whose quoted field contains a line break continues on the next
-  // physical line (RFC 4180); rejoin with the '\n' getline consumed. An
-  // unterminated quote at EOF leaves the parity open — parse_csv_line then
-  // reports it.
-  while (ends_inside_quotes(record) && std::getline(in, line)) {
-    ++physical_lines;
-    record.push_back('\n');
-    record += line;
+std::optional<std::size_t> CsvReader::split() {
+  char* const text = buffer_.get() + begin_;
+  const std::size_t size = end_ - begin_;
+  const bool stream = in_ != nullptr;
+  // Running off the data means "read more and start over" while the stream
+  // has more; otherwise the data's end is the record's.
+  const bool more = stream && !eof_;
+  const std::array<bool, 256>& stop_at = stream ? kStreamStops : kRecordStops;
+  fields_.clear();
+  escaped_.clear();
+  std::size_t breaks = 0;  // line breaks inside quoted fields
+  std::size_t i = 0;       // start of the current field
+  std::size_t end = 0;     // end of the record's text, before its line break
+  for (;;) {
+    if (i < size && text[i] == '"') {
+      std::size_t close = i + 1;
+      bool escapes = false;
+      for (;;) {
+        while (close < size && text[close] != '"') breaks += text[close++] == '\n';
+        if (close == size) {
+          if (more) return std::nullopt;
+          // The hunt for the close quote consumed the rest of the input.
+          const std::string message = quoting_error("unterminated quoted field: ", text, size, i);
+          begin_ = end_;
+          next_line_ += breaks + 1;
+          fail(message);
+        }
+        if (close + 1 < size && text[close + 1] == '"') {
+          escapes = true;
+          close += 2;
+          continue;
+        }
+        break;
+      }
+      if (escapes) escaped_.push_back(fields_.size());
+      fields_.emplace_back(text + i + 1, close - i - 1);
+      i = close + 1;
+      // After a closing quote: a comma, or the record's end with at most
+      // one '\r' before it.
+      if (i < size && text[i] == ',') {
+        ++i;
+        continue;
+      }
+      end = i < size && text[i] == '\r' ? i + 1 : i;
+      if (end == size && more) return std::nullopt;
+      if (end < size && !(stream && text[end] == '\n')) {
+        fail(quoting_error("unexpected character after closing quote: ", text, size, i));
+      }
+      break;
+    }
+    std::size_t stop = i;
+    while (stop < size && !stop_at[static_cast<unsigned char>(text[stop])]) ++stop;
+    if (stop < size && text[stop] == ',') {
+      fields_.emplace_back(text + i, stop - i);
+      i = stop + 1;
+      continue;
+    }
+    if (stop < size && text[stop] == '"') {
+      fail(quoting_error("quote opening mid-field (quote the whole field): ", text, size, stop));
+    }
+    if (stop == size && more) return std::nullopt;
+    const bool cr = stop > i && text[stop - 1] == '\r';
+    fields_.emplace_back(text + i, stop - i - (cr ? 1 : 0));
+    end = stop;
+    break;
   }
-  return true;
+  // The record parsed: consume it and its line break, then unescape its
+  // quoted fields in place.
+  begin_ += end < size ? end + 1 : size;
+  next_line_ += breaks + 1;
+  for (const std::size_t f : escaped_) {
+    char* out = text + (fields_[f].data() - text);
+    const char* in = fields_[f].data();
+    const char* const last = in + fields_[f].size();
+    char* const first = out;
+    for (; in != last; in += *in == '"' ? 2 : 1) *out++ = *in;
+    fields_[f] = std::string_view(first, static_cast<std::size_t>(out - first));
+  }
+  return end;
 }
+
+// ------------------------------------------------------------ dataset I/O ---
 
 std::string escape_csv_field(const std::string& field) {
   if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
@@ -121,48 +186,61 @@ std::string escape_csv_field(const std::string& field) {
   return out;
 }
 
+void close_or_throw(std::ofstream& out, const std::filesystem::path& path) {
+  out.close();
+  if (!out) throw CsvError("write failed for " + path.string());
+}
+
 namespace {
 
-/// Applies `consume(fields, line_no)` to every non-empty data record of
-/// `path`, after validating the header. Records are read with
-/// read_csv_record, so quoted fields may span physical lines; line_no is the
-/// first physical line of the record. Missing file is a no-op when
-/// `optional`.
-template <typename Consume>
-void for_each_row(const std::filesystem::path& path, const std::string& expected_header,
-                  bool optional, Consume&& consume) {
-  std::ifstream in(path);
-  if (!in) {
-    if (optional) return;
-    throw CsvError("cannot open " + path.string());
+/// Up to NameTable::kBatch names copied out of a CsvReader, so that they
+/// outlive its next call until one batch resolves them.
+class NameBatch {
+ public:
+  [[nodiscard]] bool full() const noexcept { return size_ == core::NameTable::kBatch; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  void push(std::string_view name) {
+    bytes_.append(name);
+    ends_[size_++] = bytes_.size();
   }
-  std::string line;
-  std::size_t line_no = 0;
-  std::size_t next_line = 1;
-  std::size_t consumed = 0;
-  bool saw_header = false;
-  while (read_csv_record(in, line, consumed)) {
-    line_no = next_line;
-    next_line += consumed;
-    if (line.empty() || line == "\r") continue;
-    std::vector<std::string> fields = parse_csv_line(line);
-    if (!saw_header) {
-      saw_header = true;
-      std::string header;
-      for (std::size_t f = 0; f < fields.size(); ++f) {
-        if (f > 0) header.push_back(',');
-        header += fields[f];
-      }
-      if (header != expected_header)
-        throw CsvError(path.string() + ":" + std::to_string(line_no) + ": expected header '" +
-                       expected_header + "', got '" + header + "'");
-      continue;
+  /// The names in push order; valid until the next push or clear.
+  [[nodiscard]] std::span<const std::string_view> names() {
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i < size_; ++i) {
+      views_[i] = std::string_view(bytes_).substr(begin, ends_[i] - begin);
+      begin = ends_[i];
     }
-    if (fields.size() != 2)
-      throw CsvError(path.string() + ":" + std::to_string(line_no) + ": expected 2 fields, got " +
-                     std::to_string(fields.size()));
-    consume(std::move(fields), line_no);
+    return {views_.data(), size_};
   }
+  void clear() noexcept {
+    bytes_.clear();
+    size_ = 0;
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t size_ = 0;
+  std::array<std::size_t, core::NameTable::kBatch> ends_{};
+  std::array<std::string_view, core::NameTable::kBatch> views_{};
+};
+
+/// Reads one edge file, resolving its (role, name) rows a batch at a time
+/// through `add(roles, names)`.
+template <typename Add>
+void load_edges(const std::filesystem::path& path, std::string_view header, Add&& add) {
+  NameBatch roles;
+  NameBatch names;
+  const auto flush = [&] {
+    add(roles.names(), names.names());
+    roles.clear();
+    names.clear();
+  };
+  for_each_csv_row(path, header, [&](std::span<const std::string_view> fields, const CsvReader&) {
+    roles.push(fields[0]);
+    names.push(fields[1]);
+    if (roles.full()) flush();
+  });
+  if (!roles.empty()) flush();
 }
 
 }  // namespace
@@ -175,49 +253,47 @@ core::RbacDataset load_dataset(const std::filesystem::path& dir) {
   }
   core::RbacDataset data;
 
-  for_each_row(dir / "entities.csv", "kind,name", /*optional=*/true,
-               [&](std::vector<std::string> fields, std::size_t line_no) {
-                 const std::string& kind = fields[0];
-                 if (kind == "user") {
-                   data.add_user(std::move(fields[1]));
-                 } else if (kind == "role") {
-                   data.add_role(std::move(fields[1]));
-                 } else if (kind == "permission") {
-                   data.add_permission(std::move(fields[1]));
-                 } else {
-                   throw CsvError((dir / "entities.csv").string() + ":" +
-                                  std::to_string(line_no) + ": unknown entity kind '" + kind +
-                                  "'");
-                 }
-               });
+  // Each kind batches its own names, so every table still meets its names
+  // in file order and ids are the first-appearance ids.
+  constexpr std::array kKinds{core::NodeKind::kUser, core::NodeKind::kRole,
+                              core::NodeKind::kPermission};
+  std::array<NameBatch, kKinds.size()> entities;
+  const auto flush = [&](std::size_t k) {
+    data.add_entities(kKinds[k], entities[k].names());
+    entities[k].clear();
+  };
+  for_each_csv_row(dir / "entities.csv", "kind,name",
+                   [&](std::span<const std::string_view> fields, const CsvReader& reader) {
+                     std::size_t k = 0;
+                     while (k < kKinds.size() && fields[0] != core::to_string(kKinds[k])) ++k;
+                     if (k == kKinds.size())
+                       reader.fail("unknown entity kind '" + std::string(fields[0]) + "'");
+                     entities[k].push(fields[1]);
+                     if (entities[k].full()) flush(k);
+                   });
+  for (std::size_t k = 0; k < kKinds.size(); ++k) {
+    if (!entities[k].empty()) flush(k);
+  }
 
-  for_each_row(dir / "assignments.csv", "role,user", /*optional=*/true,
-               [&](std::vector<std::string> fields, std::size_t) {
-                 const core::Id role = data.add_role(std::move(fields[0]));
-                 const core::Id user = data.add_user(std::move(fields[1]));
-                 data.assign_user(role, user);
-               });
-
-  for_each_row(dir / "grants.csv", "role,permission", /*optional=*/true,
-               [&](std::vector<std::string> fields, std::size_t) {
-                 const core::Id role = data.add_role(std::move(fields[0]));
-                 const core::Id perm = data.add_permission(std::move(fields[1]));
-                 data.grant_permission(role, perm);
-               });
-
+  load_edges(dir / "assignments.csv", "role,user", [&](auto roles, auto users) {
+    data.assign_users(roles, users);
+  });
+  load_edges(dir / "grants.csv", "role,permission", [&](auto roles, auto perms) {
+    data.grant_permissions(roles, perms);
+  });
   return data;
 }
 
 void save_dataset(const core::RbacDataset& dataset, const std::filesystem::path& dir) {
   std::filesystem::create_directories(dir);
-  auto open = [](const std::filesystem::path& path) {
+  const auto write = [](const std::filesystem::path& path, auto&& body) {
     std::ofstream out(path, std::ios::trunc);
     if (!out) throw CsvError("cannot write " + path.string());
-    return out;
+    body(out);
+    close_or_throw(out, path);
   };
 
-  {
-    std::ofstream out = open(dir / "entities.csv");
+  write(dir / "entities.csv", [&](std::ofstream& out) {
     out << "kind,name\n";
     for (std::size_t u = 0; u < dataset.num_users(); ++u)
       out << "user," << escape_csv_field(dataset.user_name(static_cast<core::Id>(u))) << "\n";
@@ -226,21 +302,19 @@ void save_dataset(const core::RbacDataset& dataset, const std::filesystem::path&
     for (std::size_t p = 0; p < dataset.num_permissions(); ++p)
       out << "permission,"
           << escape_csv_field(dataset.permission_name(static_cast<core::Id>(p))) << "\n";
-  }
-  {
-    std::ofstream out = open(dir / "assignments.csv");
+  });
+  write(dir / "assignments.csv", [&](std::ofstream& out) {
     out << "role,user\n";
     for (const auto& [role, user] : dataset.role_user_edges())
       out << escape_csv_field(dataset.role_name(role)) << ","
           << escape_csv_field(dataset.user_name(user)) << "\n";
-  }
-  {
-    std::ofstream out = open(dir / "grants.csv");
+  });
+  write(dir / "grants.csv", [&](std::ofstream& out) {
     out << "role,permission\n";
     for (const auto& [role, perm] : dataset.role_permission_edges())
       out << escape_csv_field(dataset.role_name(role)) << ","
           << escape_csv_field(dataset.permission_name(perm)) << "\n";
-  }
+  });
 }
 
 }  // namespace rolediet::io

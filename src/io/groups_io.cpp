@@ -1,5 +1,6 @@
 #include "io/groups_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <map>
 
@@ -18,46 +19,26 @@ void save_groups(const core::RoleGroups& groups, const core::RbacDataset& datase
           << "\n";
     }
   }
+  close_or_throw(out, path);
 }
 
 core::RoleGroups load_groups(const core::RbacDataset& dataset,
                              const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) throw CsvError("cannot open " + path.string());
-
   std::map<std::size_t, std::vector<std::size_t>> by_ordinal;
-  std::string line;
-  std::size_t line_no = 0;
-  std::size_t next_line = 1;
-  std::size_t consumed = 0;
-  bool saw_header = false;
-  // Records, not physical lines: role names may embed line breaks.
-  while (read_csv_record(in, line, consumed)) {
-    line_no = next_line;
-    next_line += consumed;
-    if (line.empty() || line == "\r") continue;
-    const std::vector<std::string> fields = parse_csv_line(line);
-    if (!saw_header) {
-      saw_header = true;
-      if (fields.size() != 2 || fields[0] != "group" || fields[1] != "role")
-        throw CsvError(path.string() + ":1: expected header 'group,role'");
-      continue;
-    }
-    if (fields.size() != 2)
-      throw CsvError(path.string() + ":" + std::to_string(line_no) + ": expected 2 fields");
-    std::size_t ordinal = 0;
-    try {
-      ordinal = std::stoull(fields[0]);
-    } catch (const std::exception&) {
-      throw CsvError(path.string() + ":" + std::to_string(line_no) + ": bad group ordinal '" +
-                     fields[0] + "'");
-    }
-    const std::optional<core::Id> role = dataset.find_role(fields[1]);
-    if (!role.has_value())
-      throw CsvError(path.string() + ":" + std::to_string(line_no) + ": unknown role '" +
-                     fields[1] + "'");
-    by_ordinal[ordinal].push_back(*role);
-  }
+  const bool opened = for_each_csv_row(
+      path, "group,role", [&](std::span<const std::string_view> fields, const CsvReader& reader) {
+        // The whole field must be a decimal ordinal: no sign, space, base
+        // prefix or trailing text.
+        const std::string_view text = fields[0];
+        std::size_t ordinal = 0;
+        const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), ordinal);
+        if (ec != std::errc{} || end != text.data() + text.size())
+          reader.fail("bad group ordinal '" + std::string(text) + "'");
+        const std::optional<core::Id> role = dataset.find_role(fields[1]);
+        if (!role.has_value()) reader.fail("unknown role '" + std::string(fields[1]) + "'");
+        by_ordinal[ordinal].push_back(*role);
+      });
+  if (!opened) throw CsvError("cannot open " + path.string());
 
   core::RoleGroups out;
   for (auto& [ordinal, members] : by_ordinal) {

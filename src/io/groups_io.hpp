@@ -15,12 +15,16 @@
 namespace rolediet::io {
 
 /// Writes `groups` (member indices resolved against `dataset`) to `path`.
+/// Throws CsvError naming `path` when a write fails.
 void save_groups(const core::RoleGroups& groups, const core::RbacDataset& dataset,
                  const std::filesystem::path& path);
 
-/// Reads a grouping back, resolving role names against `dataset`. Unknown
-/// role names raise CsvError (the dataset changed incompatibly); groups that
-/// drop below two members after resolution are removed. Result is canonical.
+/// Reads a grouping back through CsvReader, resolving role names against
+/// `dataset`. An ordinal must be a whole unsigned decimal field (no sign,
+/// space, base prefix or trailing text). A bad ordinal, an unknown role name
+/// (the dataset changed incompatibly) or bad quoting raises CsvError naming
+/// path:line; groups that drop below two members after resolution are
+/// removed. Result is canonical.
 [[nodiscard]] core::RoleGroups load_groups(const core::RbacDataset& dataset,
                                            const std::filesystem::path& path);
 

@@ -1,11 +1,7 @@
 #include "io/journal.hpp"
 
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
-
-#include "io/csv.hpp"
 
 namespace rolediet::io {
 
@@ -28,7 +24,7 @@ bool is_edge_kind(core::MutationKind kind) {
   return false;
 }
 
-bool parse_kind(const std::string& tag, core::MutationKind& kind) {
+bool parse_kind(std::string_view tag, core::MutationKind& kind) {
   using core::MutationKind;
   for (MutationKind candidate :
        {MutationKind::kAddUser, MutationKind::kAddRole, MutationKind::kAddPermission,
@@ -48,29 +44,31 @@ bool parse_kind(const std::string& tag, core::MutationKind& kind) {
 
 /// Shared tag/field-count validation behind parse_journal_record and the
 /// streaming reader (which parses the CSV once and owns line numbers).
-core::Mutation mutation_from_fields(std::vector<std::string>&& fields) {
+core::Mutation mutation_from_fields(std::span<const std::string_view> fields) {
   core::MutationKind kind;
   if (!parse_kind(fields[0], kind)) {
-    throw CsvError("unknown mutation tag \"" + fields[0] + "\"");
+    throw CsvError("unknown mutation tag \"" + std::string(fields[0]) + "\"");
   }
   const std::size_t expect = is_edge_kind(kind) ? 3 : 2;
   if (fields.size() != expect) {
-    throw CsvError("tag \"" + fields[0] + "\" takes " + std::to_string(expect - 1) +
+    throw CsvError("tag \"" + std::string(fields[0]) + "\" takes " + std::to_string(expect - 1) +
                    " field(s), got " + std::to_string(fields.size() - 1));
   }
   core::Mutation mutation;
   mutation.kind = kind;
   if (is_edge_kind(kind)) {
-    mutation.role = std::move(fields[1]);
-    mutation.entity = std::move(fields[2]);
+    mutation.role = fields[1];
+    mutation.entity = fields[2];
   } else {
-    mutation.entity = std::move(fields[1]);
+    mutation.entity = fields[1];
   }
   return mutation;
 }
 
-bool is_blank_record(const std::vector<std::string>& fields) {
-  return fields.empty() || (fields.size() == 1 && fields[0].empty());
+/// A record whose only field is empty, such as `""`: the journal skips it
+/// as it skips a blank line.
+bool is_blank_record(std::span<const std::string_view> fields) {
+  return fields.size() == 1 && fields[0].empty();
 }
 
 }  // namespace
@@ -101,35 +99,30 @@ void save_journal(const std::filesystem::path& path, const core::RbacDelta& delt
   if (!out) throw CsvError("journal: write failed for " + path.string());
 }
 
-core::Mutation parse_journal_record(const std::string& record) {
-  std::vector<std::string> fields = parse_csv_line(record);
+core::Mutation parse_journal_record(std::string_view record) {
+  CsvReader reader(record);
+  const std::span<const std::string_view> fields = reader.next()->fields;
   if (is_blank_record(fields)) throw CsvError("empty journal record");
-  return mutation_from_fields(std::move(fields));
+  return mutation_from_fields(fields);
 }
 
 bool JournalReader::next(core::Mutation& mutation) {
-  std::string record;
-  std::size_t consumed = 0;  // read_csv_record reports per-record line counts
-  while (read_csv_record(*in_, record, consumed)) {
-    const std::size_t record_line = line_ + 1;  // first physical line of the record
-    line_ += consumed;
-    std::vector<std::string> fields;
+  for (;;) {
+    std::optional<CsvRecord> record;
     try {
-      fields = parse_csv_line(record);
+      record = reader_.next();
     } catch (const CsvError& err) {
-      fail(record_line, err.what());
+      fail(reader_.line(), err.what());
     }
-    // A blank physical line parses as one empty field; skip it the way the
-    // dataset loaders do.
-    if (is_blank_record(fields)) continue;
+    if (!record) return false;
+    if (is_blank_record(record->fields)) continue;
     try {
-      mutation = mutation_from_fields(std::move(fields));
+      mutation = mutation_from_fields(record->fields);
     } catch (const CsvError& err) {
-      fail(record_line, err.what());
+      fail(record->line, err.what());
     }
     return true;
   }
-  return false;
 }
 
 core::RbacDelta read_journal(std::istream& in) {

@@ -14,10 +14,12 @@
 //   grant-permission,ROLE,PERM
 //   revoke-permission,ROLE,PERM
 //
-// Quoting follows the dataset CSVs (RFC 4180-style, csv.hpp): names with
-// commas, quotes, or line breaks round-trip. No header line. Blank records
-// are skipped; malformed records (unknown tag, wrong field count, bad
-// quoting) raise CsvError with the 1-based line number. Replay semantics
+// Records are read by io::CsvReader (csv.hpp), so quoting follows the
+// dataset CSVs (RFC 4180-style): names with commas, quotes, or line breaks
+// round-trip. No header line. Blank records, and records whose only field
+// is empty, are skipped; malformed records (unknown tag, wrong field count,
+// bad quoting) raise CsvError "journal line N: ...", N the record's first
+// physical line. Replay semantics
 // are AuditEngine::apply()'s: adds and edge additions intern unknown names,
 // revocations of unknown names are no-ops, so a journal replays
 // idempotently from any prefix.
@@ -26,8 +28,10 @@
 #include <filesystem>
 #include <istream>
 #include <ostream>
+#include <string_view>
 
 #include "core/engine.hpp"
+#include "io/csv.hpp"
 
 namespace rolediet::io {
 
@@ -35,11 +39,13 @@ namespace rolediet::io {
 [[nodiscard]] std::string format_journal_record(const core::Mutation& mutation);
 
 /// Parses one serialized journal record (the inverse of
-/// format_journal_record). Throws CsvError on an unknown tag, wrong field
-/// count, bad quoting, or an empty record — without line-number context,
-/// which only stream readers have. The durable store's WAL
-/// (store/wal.hpp) frames exactly these payloads.
-[[nodiscard]] core::Mutation parse_journal_record(const std::string& record);
+/// format_journal_record) through CsvReader's in-memory form: all of
+/// `record` is one record, so a line break outside quotes is field content.
+/// Throws CsvError on an unknown tag, wrong field count, bad quoting, or an
+/// empty record — without line-number context, which only stream readers
+/// have. The durable store's WAL (store/wal.hpp) frames exactly these
+/// payloads.
+[[nodiscard]] core::Mutation parse_journal_record(std::string_view record);
 
 /// Writes the delta, one record per line. Throws CsvError on I/O failure.
 void write_journal(std::ostream& out, const core::RbacDelta& delta);
@@ -49,22 +55,23 @@ void save_journal(const std::filesystem::path& path, const core::RbacDelta& delt
 [[nodiscard]] core::RbacDelta read_journal(std::istream& in);
 [[nodiscard]] core::RbacDelta load_journal(const std::filesystem::path& path);
 
-/// Streaming reader for replay drivers: yields one mutation at a time so a
+/// Streaming reader for replay drivers: yields one mutation at a time from
+/// a CsvReader, whose buffer holds one block (or the longest record), so a
 /// multi-gigabyte journal never has to fit in memory.
 class JournalReader {
  public:
-  explicit JournalReader(std::istream& in) : in_(&in) {}
+  explicit JournalReader(std::istream& in) : reader_(in) {}
 
-  /// Reads the next mutation; false at end of input. Throws CsvError (with
-  /// the 1-based line number) on malformed records.
+  /// Reads the next mutation; false at end of input. Throws CsvError
+  /// ("journal line N: ...", N the record's first physical line) on
+  /// malformed records.
   bool next(core::Mutation& mutation);
 
   /// Physical lines consumed so far (error reporting / progress).
-  [[nodiscard]] std::size_t line() const noexcept { return line_; }
+  [[nodiscard]] std::size_t line() const noexcept { return reader_.lines_read(); }
 
  private:
-  std::istream* in_;
-  std::size_t line_ = 0;
+  CsvReader reader_;
 };
 
 }  // namespace rolediet::io

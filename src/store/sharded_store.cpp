@@ -195,7 +195,7 @@ template <typename Number>
 /// that interns the name.
 struct InternKind {
   std::string_view tag;
-  core::Id (core::ShardedEngine::*add)(std::string);
+  core::Id (core::ShardedEngine::*add)(std::string_view);
 };
 constexpr InternKind kInternUser{"nu", &core::ShardedEngine::add_user};
 constexpr InternKind kInternRole{"nr", &core::ShardedEngine::add_role};
@@ -304,7 +304,7 @@ void replay_intern(core::ShardedEngine& engine, std::string_view payload,
   const InternKind* kind = intern_kind(payload);
   if (kind == nullptr) fail("unknown coordinator record: " + std::string(payload));
   const std::size_t before = name_count(engine);
-  (void)(engine.*kind->add)(std::string(payload.substr(3)));
+  (void)(engine.*kind->add)(payload.substr(3));
   // An intern record was only written when the name was new; a collision
   // means the log and checkpoint disagree about interning history.
   if (name_count(engine) != before + 1) fail("intern replay collision: " + std::string(payload));

@@ -95,6 +95,17 @@ TEST(Cli, AuditWritesJsonAndCsv) {
   EXPECT_NE(csv.find("same-user-roles,0,R02"), std::string::npos);
 }
 
+TEST(Cli, AuditFailsWhenItsReportCannotBeWritten) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  CliDir dir;
+  io::save_dataset(rolediet::testing::figure1_dataset(), dir.path("data"));
+  for (const char* flag : {"--json", "--csv"}) {
+    const CliResult r = run_cli({"audit", flag, "/dev/full", dir.path("data")});
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_NE(r.err.find("/dev/full"), std::string::npos) << r.err;
+  }
+}
+
 TEST(Cli, AuditMethodAndThresholdOptions) {
   CliDir dir;
   io::save_dataset(rolediet::testing::figure1_dataset(), dir.path("data"));
@@ -308,6 +319,31 @@ TEST(Cli, DietAppliesAndWrites) {
   // merged). Expect 2 roles left.
   EXPECT_EQ(slim.num_roles(), 2u);
   EXPECT_TRUE(slim.find_role("R01").has_value());
+}
+
+TEST(Cli, DietFailsWhenItsOutputCannotBeWritten) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  CliDir dir;
+  io::save_dataset(rolediet::testing::figure1_dataset(), dir.path("data"));
+  fs::create_directories(dir.path("out"));
+  for (const char* name : {"entities.csv", "assignments.csv", "grants.csv"})
+    fs::create_symlink("/dev/full", fs::path(dir.path("out")) / name);
+  const CliResult r = run_cli({"diet", dir.path("data"), dir.path("out")});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("write failed"), std::string::npos) << r.err;
+}
+
+TEST(Cli, ChurnFailsWhenItsJournalCannotBeWritten) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  CliDir dir;
+  const CliResult only = run_cli({"churn", "--journal", "/dev/full", "--journal-only", "--seed",
+                                  "3", "--employees", "40", "--years", "1"});
+  EXPECT_EQ(only.code, 1);
+  EXPECT_NE(only.err.find("write failed"), std::string::npos) << only.err;
+  const CliResult full = run_cli({"churn", "--journal", "/dev/full", "--seed", "3", "--employees",
+                                  "40", "--years", "1", "--fsync", "none", dir.path("store")});
+  EXPECT_EQ(full.code, 1);
+  EXPECT_NE(full.err.find("write failed"), std::string::npos) << full.err;
 }
 
 TEST(Cli, DietSkipFlags) {

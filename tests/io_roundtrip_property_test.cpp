@@ -130,48 +130,54 @@ TEST(RoundTrip, GroupsWithEmbeddedNewlinesInRoleNames) {
 
 TEST(ReadCsvRecord, JoinsQuotedMultiLineRecords) {
   std::istringstream in("a,b\n\"x\ny\",z\nlast\n");
-  std::string record;
-  std::size_t lines = 0;
+  CsvReader reader(in);
 
-  ASSERT_TRUE(read_csv_record(in, record, lines));
-  EXPECT_EQ(record, "a,b");
-  EXPECT_EQ(lines, 1u);
+  std::optional<CsvRecord> record = reader.next();
+  ASSERT_TRUE(record);
+  EXPECT_EQ(std::vector<std::string>(record->fields.begin(), record->fields.end()),
+            (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(record->line, 1u);
+  EXPECT_EQ(reader.lines_read(), 1u);
 
-  ASSERT_TRUE(read_csv_record(in, record, lines));
-  EXPECT_EQ(record, "\"x\ny\",z");
-  EXPECT_EQ(lines, 2u);
-  EXPECT_EQ(parse_csv_line(record), (std::vector<std::string>{"x\ny", "z"}));
+  record = reader.next();
+  ASSERT_TRUE(record);
+  EXPECT_EQ(record->line, 2u);
+  EXPECT_EQ(reader.lines_read(), 3u);  // the record spans two physical lines
+  EXPECT_EQ(std::vector<std::string>(record->fields.begin(), record->fields.end()),
+            (std::vector<std::string>{"x\ny", "z"}));
 
-  ASSERT_TRUE(read_csv_record(in, record, lines));
-  EXPECT_EQ(record, "last");
-  EXPECT_FALSE(read_csv_record(in, record, lines));
+  record = reader.next();
+  ASSERT_TRUE(record);
+  EXPECT_EQ(std::vector<std::string>(record->fields.begin(), record->fields.end()),
+            (std::vector<std::string>{"last"}));
+  EXPECT_FALSE(reader.next());
 }
 
 TEST(ReadCsvRecord, EscapedQuotesDoNotOpenContinuation) {
   std::istringstream in("\"say \"\"hi\"\"\",x\nnext\n");
-  std::string record;
-  std::size_t lines = 0;
-  ASSERT_TRUE(read_csv_record(in, record, lines));
-  EXPECT_EQ(lines, 1u);
-  EXPECT_EQ(parse_csv_line(record), (std::vector<std::string>{"say \"hi\"", "x"}));
+  CsvReader reader(in);
+  const std::optional<CsvRecord> record = reader.next();
+  ASSERT_TRUE(record);
+  EXPECT_EQ(reader.lines_read(), 1u);
+  EXPECT_EQ(std::vector<std::string>(record->fields.begin(), record->fields.end()),
+            (std::vector<std::string>{"say \"hi\"", "x"}));
 }
 
 TEST(ReadCsvRecord, UnterminatedQuoteAtEofIsReportedByParser) {
   std::istringstream in("\"open\nstill open");
-  std::string record;
-  std::size_t lines = 0;
-  ASSERT_TRUE(read_csv_record(in, record, lines));
-  EXPECT_EQ(lines, 2u);  // consumed everything hunting for the close quote
-  EXPECT_THROW(parse_csv_line(record), CsvError);
+  CsvReader reader(in);
+  EXPECT_THROW((void)reader.next(), CsvError);
+  EXPECT_EQ(reader.line(), 1u);
+  EXPECT_EQ(reader.lines_read(), 2u);  // consumed everything hunting for the close quote
 }
 
 // ------------------------------------------------------------ strict parser ---
 
 TEST(CsvStrict, QuoteOpeningMidFieldRejected) {
-  EXPECT_THROW(parse_csv_line("a\"b,c"), CsvError);
-  EXPECT_THROW(parse_csv_line("x,mid\"dle"), CsvError);
+  EXPECT_THROW(testing::csv_fields("a\"b,c"), CsvError);
+  EXPECT_THROW(testing::csv_fields("x,mid\"dle"), CsvError);
   try {
-    parse_csv_line("a\"b");
+    testing::csv_fields("a\"b");
     FAIL() << "expected CsvError";
   } catch (const CsvError& e) {
     EXPECT_NE(std::string(e.what()).find("mid-field"), std::string::npos) << e.what();
@@ -179,11 +185,11 @@ TEST(CsvStrict, QuoteOpeningMidFieldRejected) {
 }
 
 TEST(CsvStrict, ContentAfterClosingQuoteRejected) {
-  EXPECT_THROW(parse_csv_line("\"a\"b"), CsvError);
-  EXPECT_THROW(parse_csv_line("\"a\" ,b"), CsvError);
+  EXPECT_THROW(testing::csv_fields("\"a\"b"), CsvError);
+  EXPECT_THROW(testing::csv_fields("\"a\" ,b"), CsvError);
   // A comma or end-of-record right after the close quote stays legal.
-  EXPECT_EQ(parse_csv_line("\"a\",b"), (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(parse_csv_line("\"a\"\r"), (std::vector<std::string>{"a"}));
+  EXPECT_EQ(testing::csv_fields("\"a\",b"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(testing::csv_fields("\"a\"\r"), (std::vector<std::string>{"a"}));
 }
 
 // ---------------------------------------------------------- journal streams ---

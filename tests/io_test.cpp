@@ -5,6 +5,7 @@
 #include <unistd.h>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "core/framework.hpp"
 #include "io/csv.hpp"
@@ -32,23 +33,116 @@ void write_file(const fs::path& path, const std::string& content) {
 // -------------------------------------------------------------- csv parse ---
 
 TEST(CsvParse, SimpleFields) {
-  EXPECT_EQ(parse_csv_line("a,b,c"), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(parse_csv_line("one"), (std::vector<std::string>{"one"}));
-  EXPECT_EQ(parse_csv_line(",x,"), (std::vector<std::string>{"", "x", ""}));
+  EXPECT_EQ(testing::csv_fields("a,b,c"), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(testing::csv_fields("one"), (std::vector<std::string>{"one"}));
+  EXPECT_EQ(testing::csv_fields(",x,"), (std::vector<std::string>{"", "x", ""}));
 }
 
 TEST(CsvParse, QuotedFields) {
-  EXPECT_EQ(parse_csv_line("\"a,b\",c"), (std::vector<std::string>{"a,b", "c"}));
-  EXPECT_EQ(parse_csv_line("\"say \"\"hi\"\"\",x"),
+  EXPECT_EQ(testing::csv_fields("\"a,b\",c"), (std::vector<std::string>{"a,b", "c"}));
+  EXPECT_EQ(testing::csv_fields("\"say \"\"hi\"\"\",x"),
             (std::vector<std::string>{"say \"hi\"", "x"}));
 }
 
 TEST(CsvParse, CrlfTolerated) {
-  EXPECT_EQ(parse_csv_line("a,b\r"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(testing::csv_fields("a,b\r"), (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(CsvParse, UnterminatedQuoteThrows) {
-  EXPECT_THROW(parse_csv_line("\"oops,b"), CsvError);
+  EXPECT_THROW(testing::csv_fields("\"oops,b"), CsvError);
+}
+
+// ------------------------------------------------------------ csv reader ---
+
+struct ReadRecord {
+  std::vector<std::string> fields;
+  std::size_t line = 0;
+  bool operator==(const ReadRecord&) const = default;
+};
+
+/// Every record of `text`, read `block` bytes at a time; the reader's final
+/// buffer size goes to `capacity`.
+std::vector<ReadRecord> read_all(const std::string& text, std::size_t block,
+                                 std::size_t& capacity) {
+  std::istringstream in(text);
+  CsvReader reader(in, {}, block);
+  std::vector<ReadRecord> out;
+  while (const std::optional<CsvRecord> record = reader.next()) {
+    out.push_back({{record->fields.begin(), record->fields.end()}, record->line});
+  }
+  capacity = reader.capacity();
+  return out;
+}
+
+TEST(CsvReader, RecordsStraddleTheBlockEdgeAtEveryOffset) {
+  constexpr std::size_t kBlock = 16;
+  const std::vector<std::pair<std::string, ReadRecord>> cases = {
+      {"plain,record", {{"plain", "record"}, 2}},
+      {"\"multi\nline\",x", {{"multi\nline", "x"}, 2}},
+      {"\"say \"\"hi\"\"\",y", {{"say \"hi\"", "y"}, 2}},
+  };
+  for (const auto& [record, expected] : cases) {
+    const std::size_t lines = 1 + std::count(record.begin(), record.end(), '\n');
+    // A first record of `pad` bytes moves the tested one across the edge at
+    // byte 16, one offset at a time.
+    for (std::size_t pad = 1; pad < kBlock; ++pad) {
+      SCOPED_TRACE(record + " after " + std::to_string(pad) + " bytes");
+      std::size_t capacity = 0;
+      const std::vector<ReadRecord> got =
+          read_all(std::string(pad, 'a') + "\n" + record + "\nlast\n", kBlock, capacity);
+      ASSERT_EQ(got.size(), 3u);
+      EXPECT_EQ(got[0], (ReadRecord{{std::string(pad, 'a')}, 1}));
+      EXPECT_EQ(got[1], expected);
+      EXPECT_EQ(got[2], (ReadRecord{{"last"}, 2 + lines}));
+      EXPECT_EQ(capacity, kBlock);  // every record fits: the buffer never grows
+    }
+  }
+}
+
+TEST(CsvReader, RecordLongerThanTheBlockGrowsTheBufferOnce) {
+  constexpr std::size_t kBlock = 16;
+  const std::string longer = "a-role-name-of-24-bytes,x";  // 25 bytes + newline
+  std::size_t capacity = 0;
+  const std::vector<ReadRecord> got = read_all("short\n" + longer + "\nend\n", kBlock, capacity);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[1], (ReadRecord{{"a-role-name-of-24-bytes", "x"}, 2}));
+  EXPECT_EQ(got[2], (ReadRecord{{"end"}, 3}));
+  EXPECT_EQ(capacity, 2 * kBlock);
+}
+
+TEST(CsvReader, MultiBlockJournalOfShortRecordsNeverGrowsTheBuffer) {
+  std::string text;
+  constexpr std::size_t kRecords = 20000;  // ~420 KB: several default blocks
+  for (std::size_t i = 0; i < kRecords; ++i)
+    text += "assign-user,r" + std::to_string(i % 97) + ",u" + std::to_string(i) + "\n";
+  ASSERT_GT(text.size(), 4 * CsvReader::kBlockSize);
+  std::size_t capacity = 0;
+  const std::vector<ReadRecord> got = read_all(text, CsvReader::kBlockSize, capacity);
+  ASSERT_EQ(got.size(), kRecords);
+  EXPECT_EQ(got.back(), (ReadRecord{{"assign-user", "r17", "u19999"}, kRecords}));
+  EXPECT_EQ(capacity, CsvReader::kBlockSize);
+}
+
+TEST(CsvReader, LastRecordWithoutNewline) {
+  std::size_t capacity = 0;
+  EXPECT_EQ(read_all("a,b\nc,d", 4, capacity),
+            (std::vector<ReadRecord>{{{"a", "b"}, 1}, {{"c", "d"}, 2}}));
+  EXPECT_EQ(read_all("a\n\"x\ny\",z", 4, capacity),
+            (std::vector<ReadRecord>{{{"a"}, 1}, {{"x\ny", "z"}, 2}}));
+}
+
+TEST(CsvReader, CrlfThroughout) {
+  const std::string text = "h1,h2\r\na,b\r\n\"q\r\nq\",c\r\n\r\nlast,\"x\"\r\n";
+  for (const std::size_t block : {std::size_t{3}, std::size_t{7}, CsvReader::kBlockSize}) {
+    std::size_t capacity = 0;
+    // The CR inside the quoted field is content; a lone "\r" line is blank.
+    EXPECT_EQ(read_all(text, block, capacity),
+              (std::vector<ReadRecord>{{{"h1", "h2"}, 1},
+                                       {{"a", "b"}, 2},
+                                       {{"q\r\nq", "c"}, 3},
+                                       {{"last", "x"}, 6}}))
+        << "block " << block;
+  }
 }
 
 TEST(CsvEscape, QuotesOnlyWhenNeeded) {
@@ -129,6 +223,53 @@ TEST(CsvDataset, WrongFieldCountThrowsWithLineNumber) {
     FAIL() << "expected CsvError";
   } catch (const CsvError& e) {
     EXPECT_NE(std::string(e.what()).find(":2"), std::string::npos) << e.what();
+  }
+}
+
+TEST(CsvDataset, QuotingErrorsNameThePathAndTheRecordsFirstLine) {
+  struct File {
+    const char* name;
+    const char* header;
+    const char* multi_line;  // a good record on lines 2-3
+  };
+  const File files[] = {{"entities.csv", "kind,name", "user,\"multi\nline\""},
+                        {"assignments.csv", "role,user", "\"multi\nline\",u0"},
+                        {"grants.csv", "role,permission", "\"multi\nline\",p0"}};
+  // Each starts on physical line 4: a quote opening mid-field, a character
+  // after a closing quote, and an unterminated quote — running on to EOF, or
+  // at EOF on its own line with and without a final newline.
+  const std::vector<std::string> bad = {"r\"2,u1\n", "\"r2\"x,u1\n", "\"r2,u1\nr3,u3\n",
+                                        "\"r2,u1\n", "\"r2,u1"};
+  for (const File& file : files) {
+    for (const std::string& record : bad) {
+      SCOPED_TRACE(std::string(file.name) + ": " + record);
+      TempDir dir;
+      write_file(dir.path() / file.name,
+                 std::string(file.header) + "\n" + file.multi_line + "\n" + record);
+      try {
+        (void)load_dataset(dir.path());
+        ADD_FAILURE() << "expected CsvError";
+      } catch (const CsvError& e) {
+        EXPECT_EQ(std::string(e.what()).rfind((dir.path() / file.name).string() + ":4: ", 0), 0u)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(CsvDataset, SaveThrowsNamingTheFileWhenTheDiskIsFull) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  TempDir dir;
+  fs::create_directories(dir.path() / "out");
+  for (const char* name : {"entities.csv", "assignments.csv", "grants.csv"})
+    fs::create_symlink("/dev/full", dir.path() / "out" / name);
+  try {
+    save_dataset(rolediet::testing::figure1_dataset(), dir.path() / "out");
+    FAIL() << "expected CsvError";
+  } catch (const CsvError& e) {
+    EXPECT_NE(std::string(e.what()).find((dir.path() / "out" / "entities.csv").string()),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -301,6 +442,54 @@ TEST(GroupsIo, BadHeaderOrOrdinalThrows) {
   write_file(dir.path() / "state2.csv", "group,role\nxyz,R01\n");
   EXPECT_THROW(load_groups(d, dir.path() / "state2.csv"), CsvError);
   EXPECT_THROW(load_groups(d, dir.path() / "missing.csv"), CsvError);
+}
+
+TEST(GroupsIo, QuotingErrorsNameThePathAndLine) {
+  const core::RbacDataset d = rolediet::testing::figure1_dataset();
+  for (const char* record : {"0,R\"02\n", "0,\"R02\"x\n", "0,\"R02\n1,R03\n", "0,\"R02"}) {
+    SCOPED_TRACE(record);
+    TempDir dir;
+    write_file(dir.path() / "state.csv", std::string("group,role\n0,R01\n") + record);
+    try {
+      (void)load_groups(d, dir.path() / "state.csv");
+      ADD_FAILURE() << "expected CsvError";
+    } catch (const CsvError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind((dir.path() / "state.csv").string() + ":3: ", 0), 0u)
+          << e.what();
+    }
+  }
+}
+
+TEST(GroupsIo, OrdinalsMustBeWholeDecimalFields) {
+  const core::RbacDataset d = rolediet::testing::figure1_dataset();
+  for (const char* ordinal : {"3x", "-1", " 3", "0x1", "", "18446744073709551616"}) {
+    SCOPED_TRACE(std::string("ordinal '") + ordinal + "'");
+    TempDir dir;
+    write_file(dir.path() / "state.csv",
+               std::string("group,role\n3,R01\n") + ordinal + ",R02\n3,R03\n");
+    try {
+      (void)load_groups(d, dir.path() / "state.csv");
+      ADD_FAILURE() << "expected CsvError";
+    } catch (const CsvError& e) {
+      EXPECT_NE(std::string(e.what()).find((dir.path() / "state.csv").string() +
+                                           ":3: bad group ordinal"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(GroupsIo, SaveThrowsWhenTheDiskIsFull) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "/dev/full is absent";
+  const core::RbacDataset d = rolediet::testing::figure1_dataset();
+  core::RoleGroups groups;
+  groups.groups = {{1, 3}};
+  try {
+    save_groups(groups, d, "/dev/full");
+    FAIL() << "expected CsvError";
+  } catch (const CsvError& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos) << e.what();
+  }
 }
 
 TEST(GroupsIo, SingletonGroupsDropped) {

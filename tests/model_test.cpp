@@ -1,7 +1,9 @@
 // Unit tests for the RBAC dataset model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -10,6 +12,7 @@
 
 #include "core/model.hpp"
 #include "test_helpers.hpp"
+#include "util/prng.hpp"
 
 namespace rolediet::core {
 namespace {
@@ -192,6 +195,61 @@ TEST(NameTable, CopyIsIndependentOfItsSource) {
   EXPECT_EQ(copy.find("copy-only"), std::optional<Id>(1));
   EXPECT_EQ(source.find("source-only"), std::optional<Id>(1));
   EXPECT_EQ(copy.find("shared"), std::optional<Id>(0));
+}
+
+TEST(NameTable, BatchInternGivesTheScalarIds) {
+  // Repeats inside a round, across rounds, long names (heap-allocated) and
+  // growth from an empty table through many rehashes, in uneven spans.
+  util::Xoshiro256 rng(0xBA7C);
+  std::vector<std::string> pool;
+  for (int i = 0; i < 3000; ++i) {
+    std::string name(i % 3 == 0 ? "a-name-long-enough-to-leave-small-buffers-" : "n");
+    name += std::to_string(i);
+    pool.push_back(std::move(name));
+  }
+  NameTable scalar;
+  NameTable batched;
+  std::size_t at = 0;
+  while (at < 20000) {
+    const std::size_t n = 1 + rng.bounded(3 * NameTable::kBatch);
+    std::vector<std::string_view> names;
+    for (std::size_t i = 0; i < n; ++i) names.push_back(pool[rng.bounded(pool.size())]);
+    std::vector<Id> ids(n);
+    batched.intern(names, ids);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(ids[i], scalar.intern(names[i]).first);
+    at += n;
+  }
+  ASSERT_EQ(batched.size(), scalar.size());
+  for (Id id = 0; id < scalar.size(); ++id) EXPECT_EQ(batched.name(id), scalar.name(id));
+  std::vector<Id> one(1);
+  EXPECT_THROW(batched.intern(std::span<const std::string_view>{}, one), std::invalid_argument);
+}
+
+TEST(Model, BulkByNameEntriesEqualOneCallPerName) {
+  const std::vector<std::string_view> roles{"r1", "r2", "r1", "r3", "r2"};
+  const std::vector<std::string_view> users{"u1", "u1", "u2", "u3", "u2"};
+  const std::vector<std::string_view> perms{"p2", "p1", "p2", "p2", "p3"};
+  RbacDataset one;
+  RbacDataset bulk;
+  one.add_permission("p3");
+  bulk.add_entities(NodeKind::kPermission, std::vector<std::string_view>{"p3"});
+  for (std::size_t i = 0; i < roles.size(); ++i) {
+    one.assign_user(one.add_role(roles[i]), one.add_user(users[i]));
+  }
+  for (std::size_t i = 0; i < roles.size(); ++i) {
+    one.grant_permission(one.add_role(roles[i]), one.add_permission(perms[i]));
+  }
+  bulk.assign_users(roles, users);
+  bulk.grant_permissions(roles, perms);
+  for (const auto* d : {&one, &bulk}) ASSERT_EQ(d->num_permissions(), 3u);
+  for (Id p = 0; p < 3; ++p) EXPECT_EQ(bulk.permission_name(p), one.permission_name(p));
+  for (Id r = 0; r < 3; ++r) EXPECT_EQ(bulk.role_name(r), one.role_name(r));
+  for (Id u = 0; u < 3; ++u) EXPECT_EQ(bulk.user_name(u), one.user_name(u));
+  EXPECT_TRUE(std::ranges::equal(bulk.role_user_edges(), one.role_user_edges()));
+  EXPECT_TRUE(std::ranges::equal(bulk.role_permission_edges(), one.role_permission_edges()));
+  EXPECT_EQ(bulk.ruam(), one.ruam());
+  EXPECT_EQ(bulk.rpam(), one.rpam());
+  EXPECT_THROW(bulk.assign_users(roles, std::span(perms).subspan(1)), std::invalid_argument);
 }
 
 TEST(Model, FromCompiledEqualsEdgeByEdge) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/model.hpp"
+#include "io/csv.hpp"
 #include "linalg/csr_matrix.hpp"
 
 namespace rolediet::testing {
@@ -104,6 +105,14 @@ inline linalg::CsrMatrix csr_from_rows(std::size_t cols,
     for (std::uint32_t c : rows[r]) pairs.emplace_back(static_cast<std::uint32_t>(r), c);
   }
   return linalg::CsrMatrix::from_pairs(rows.size(), cols, std::move(pairs));
+}
+
+/// The fields of one in-memory CSV record (io::CsvReader's in-memory form,
+/// which yields a blank record as one empty field).
+inline std::vector<std::string> csv_fields(std::string_view record) {
+  io::CsvReader reader(record);
+  const std::span<const std::string_view> fields = reader.next()->fields;
+  return {fields.begin(), fields.end()};
 }
 
 }  // namespace rolediet::testing
