@@ -1,5 +1,7 @@
 #include "core/detector.hpp"
 
+#include <stdexcept>
+
 namespace rolediet::core {
 
 std::vector<Id> zero_columns(const linalg::CsrMatrix& matrix) {
@@ -20,14 +22,18 @@ std::vector<Id> rows_with_sum(const linalg::CsrMatrix& matrix, std::size_t targe
 }
 
 StructuralFindings detect_structural(const RbacDataset& dataset) {
-  const linalg::CsrMatrix& ruam = dataset.ruam();
-  const linalg::CsrMatrix& rpam = dataset.rpam();
+  return detect_structural(dataset.ruam(), dataset.rpam());
+}
 
+StructuralFindings detect_structural(const linalg::CsrMatrix& ruam,
+                                     const linalg::CsrMatrix& rpam) {
+  if (ruam.rows() != rpam.rows())
+    throw std::invalid_argument("detect_structural: RUAM and RPAM differ in role count");
   StructuralFindings findings;
   findings.standalone_users = zero_columns(ruam);
   findings.standalone_permissions = zero_columns(rpam);
 
-  for (std::size_t role = 0; role < dataset.num_roles(); ++role) {
+  for (std::size_t role = 0; role < ruam.rows(); ++role) {
     const std::size_t users = ruam.row_size(role);
     const std::size_t perms = rpam.row_size(role);
     const Id id = static_cast<Id>(role);

@@ -40,6 +40,13 @@ struct StructuralFindings {
 /// roles can be linked to multiple types of inefficiencies".
 [[nodiscard]] StructuralFindings detect_structural(const RbacDataset& dataset);
 
+/// The same from compiled RUAM (roles x users) and RPAM (roles x
+/// permissions): what the dataset overload runs on dataset.ruam() /
+/// dataset.rpam(), and AuditEngine on its own compiled rows. Throws
+/// std::invalid_argument when the two differ in row (role) count.
+[[nodiscard]] StructuralFindings detect_structural(const linalg::CsrMatrix& ruam,
+                                                   const linalg::CsrMatrix& rpam);
+
 /// Column-sum zero scan on any assignment matrix (standalone detection on
 /// the user or permission axis of a bare matrix).
 [[nodiscard]] std::vector<Id> zero_columns(const linalg::CsrMatrix& matrix);

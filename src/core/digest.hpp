@@ -10,6 +10,8 @@
 // IncrementalAuditor — pinned by a round-trip test.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -28,13 +30,19 @@ class ContentDigest {
     const auto* b = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < size; ++i) {
       state_ ^= b[i];
-      state_ *= 0x100000001B3ULL;
+      state_ *= kPrime;
     }
   }
+  /// The eight little-endian bytes of `v`. A zero byte only multiplies the
+  /// state by the prime, so after v's significant low bytes one multiply by
+  /// prime^(zero bytes left) gives the byte loop's state exactly.
   void u64(std::uint64_t v) noexcept {
-    unsigned char buf[8];
-    for (std::size_t i = 0; i < 8; ++i) buf[i] = static_cast<unsigned char>(v >> (8 * i));
-    bytes(buf, sizeof(buf));
+    const std::size_t significant = (static_cast<std::size_t>(std::bit_width(v)) + 7) / 8;
+    for (std::size_t i = 0; i < significant; ++i) {
+      state_ ^= (v >> (8 * i)) & 0xFF;
+      state_ *= kPrime;
+    }
+    state_ *= kPrimePowers[8 - significant];
   }
   void str(const std::string& s) noexcept {
     u64(s.size());
@@ -43,6 +51,14 @@ class ContentDigest {
   [[nodiscard]] std::uint64_t value() const noexcept { return state_; }
 
  private:
+  static constexpr std::uint64_t kPrime = 0x100000001B3ULL;
+  /// kPrimePowers[n] = kPrime^n mod 2^64.
+  static constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
+    std::array<std::uint64_t, 9> powers{1};
+    for (std::size_t n = 1; n < powers.size(); ++n) powers[n] = powers[n - 1] * kPrime;
+    return powers;
+  }();
+
   std::uint64_t state_ = 0xCBF29CE484222325ULL;
 };
 

@@ -476,40 +476,26 @@ RoleGroups AuditEngine::hnsw_delta_similar(Axis& axis, const linalg::CsrMatrix& 
 
 AuditReport AuditEngine::reaudit() {
   const util::ExecutionContext ctx(options_.time_budget_s);
-  GroupFinderOptions finder_options;
-  finder_options.threads = options_.threads;
-  finder_options.backend = options_.backend;
-  const std::unique_ptr<GroupFinder> finder = make_group_finder(options_.method, finder_options);
+  const std::unique_ptr<GroupFinder> finder = make_group_finder(options_);
   AuditReport report = report_preamble(state_, options_, version_, *finder);
 
   {
-    util::Stopwatch watch;
-    // Compiling RUAM/RPAM from the live state is part of this phase, exactly
-    // as dataset.ruam()/rpam() compilation was in the one-shot audit.
+    // Compiling RUAM/RPAM from the live state is part of this phase.
+    const util::Stopwatch watch;
     ruam_ = state_.compile_ruam();
     rpam_ = state_.compile_rpam();
-    report.num_user_assignments = ruam_.nnz();
-    report.num_permission_grants = rpam_.nnz();
-    report.structural = state_.structural();
-    report.structural_time.seconds = watch.seconds();
+    structural_phase(report, ruam_, rpam_, watch);
   }
 
   // ---- type 4 -------------------------------------------------------------
   if (!audited_once_) {
-    // First pass: the configured batch finder, so audit() == reaudit() #1
-    // holds for every method including the approximate ones.
-    run_phase(ctx, report.same_users_time, report.same_user_groups,
-              [&](const util::ExecutionContext& c) {
-                RoleGroups groups = finder->find_same(ruam_, c);
-                report.same_users_work = finder->last_work();
-                return groups;
-              });
-    run_phase(ctx, report.same_permissions_time, report.same_permission_groups,
-              [&](const util::ExecutionContext& c) {
-                RoleGroups groups = finder->find_same(rpam_, c);
-                report.same_permissions_work = finder->last_work();
-                return groups;
-              });
+    // First pass: the batch phases audit() runs, on this engine's matrices,
+    // so audit() == reaudit() #1 holds for every method including the
+    // approximate ones.
+    batch_same_phase(ctx, *finder, ruam_, report.same_users_time, report.same_user_groups,
+                     report.same_users_work);
+    batch_same_phase(ctx, *finder, rpam_, report.same_permissions_time,
+                     report.same_permission_groups, report.same_permissions_work);
   } else {
     // Steady state: the maintained digest index answers exactly (for the
     // exact methods this equals the batch finder's groups; for HNSW it is
@@ -526,14 +512,6 @@ AuditReport AuditEngine::reaudit() {
 
   // ---- type 5 -------------------------------------------------------------
   if (options_.detect_similar) {
-    auto find_similar_batch = [&](const linalg::CsrMatrix& matrix,
-                                  const util::ExecutionContext& c) {
-      const std::size_t threshold = similar_threshold_scaled(options_);
-      return options_.similarity_mode == SimilarityMode::kJaccard
-                 ? finder->find_similar_jaccard(matrix, threshold, c)
-                 : finder->find_similar(matrix, threshold, c);
-    };
-
     auto similar_phase = [&](PhaseTiming& timing, RoleGroups& out, FinderWorkStats& work,
                              Axis& axis, const linalg::CsrMatrix& matrix,
                              std::span<const std::size_t> degrees) {
@@ -556,15 +534,11 @@ AuditReport AuditEngine::reaudit() {
       }
 
       // Full batch pass (first audit, non-cacheable config, or invalidated
-      // cache), arming the matched-pair sink to (re)seed the cache.
+      // cache): audit()'s phase plus the matched-pair sink that (re)seeds
+      // the cache.
       methods::MatchedPairs collected;
-      if (cache_on) finder->collect_matched_pairs(&collected);
-      const bool ran = run_phase(ctx, timing, out, [&](const util::ExecutionContext& c) {
-        RoleGroups groups = find_similar_batch(matrix, c);
-        work = finder->last_work();
-        return groups;
-      });
-      if (cache_on) finder->collect_matched_pairs(nullptr);
+      const bool ran = batch_similar_phase(ctx, *finder, options_, matrix, timing, out, work,
+                                           cache_on ? &collected : nullptr);
       // The batch pass bypassed the maintained candidate artifacts; drop
       // them so the next delta pass rebuilds from the current version.
       axis.minhash.built = false;
@@ -603,10 +577,22 @@ AuditReport AuditEngine::reaudit() {
   return report;
 }
 
-// ------------------------------------------------- shared by both engines ---
+// ------------------------------------- shared by audit() and both engines ---
 
-AuditReport report_preamble(const IncrementalAuditor& state, const AuditOptions& options,
-                            std::uint64_t version, const GroupFinder& finder) {
+std::unique_ptr<GroupFinder> make_group_finder(const AuditOptions& options) {
+  GroupFinderOptions finder_options;
+  finder_options.threads = options.threads;
+  finder_options.backend = options.backend;
+  return make_group_finder(options.method, finder_options);
+}
+
+namespace {
+
+/// Works for both RbacDataset and IncrementalAuditor, like digest_of
+/// (digest.cpp): they expose the same count accessors.
+template <typename State>
+AuditReport preamble_of(const State& state, const AuditOptions& options, std::uint64_t version,
+                        const GroupFinder& finder) {
   AuditReport report;
   report.num_users = state.num_users();
   report.num_roles = state.num_roles();
@@ -621,10 +607,57 @@ AuditReport report_preamble(const IncrementalAuditor& state, const AuditOptions&
   return report;
 }
 
+}  // namespace
+
+AuditReport report_preamble(const RbacDataset& state, const AuditOptions& options,
+                            std::uint64_t version, const GroupFinder& finder) {
+  return preamble_of(state, options, version, finder);
+}
+
+AuditReport report_preamble(const IncrementalAuditor& state, const AuditOptions& options,
+                            std::uint64_t version, const GroupFinder& finder) {
+  return preamble_of(state, options, version, finder);
+}
+
 std::size_t similar_threshold_scaled(const AuditOptions& options) {
   return options.similarity_mode == SimilarityMode::kJaccard
              ? jaccard_threshold(options.jaccard_dissimilarity)
              : options.similarity_threshold;
+}
+
+void structural_phase(AuditReport& report, const linalg::CsrMatrix& ruam,
+                      const linalg::CsrMatrix& rpam, const util::Stopwatch& watch) {
+  report.num_user_assignments = ruam.nnz();
+  report.num_permission_grants = rpam.nnz();
+  report.structural = detect_structural(ruam, rpam);
+  report.structural_time.seconds = watch.seconds();
+}
+
+void batch_same_phase(const util::ExecutionContext& ctx, const GroupFinder& finder,
+                      const linalg::CsrMatrix& matrix, PhaseTiming& timing, RoleGroups& out,
+                      FinderWorkStats& work) {
+  run_phase(ctx, timing, out, [&](const util::ExecutionContext& c) {
+    RoleGroups groups = finder.find_same(matrix, c);
+    work = finder.last_work();
+    return groups;
+  });
+}
+
+bool batch_similar_phase(const util::ExecutionContext& ctx, const GroupFinder& finder,
+                         const AuditOptions& options, const linalg::CsrMatrix& matrix,
+                         PhaseTiming& timing, RoleGroups& out, FinderWorkStats& work,
+                         methods::MatchedPairs* sink) {
+  const std::size_t threshold = similar_threshold_scaled(options);
+  const bool jaccard = options.similarity_mode == SimilarityMode::kJaccard;
+  finder.collect_matched_pairs(sink);
+  const bool ran = run_phase(ctx, timing, out, [&](const util::ExecutionContext& c) {
+    RoleGroups groups = jaccard ? finder.find_similar_jaccard(matrix, threshold, c)
+                                : finder.find_similar(matrix, threshold, c);
+    work = finder.last_work();
+    return groups;
+  });
+  finder.collect_matched_pairs(nullptr);
+  return ran;
 }
 
 void publish_version(VersionSlot& slot, const IncrementalAuditor& state,

@@ -9,8 +9,10 @@
 // batches, and keeps the expensive detection artifacts alive across dataset
 // versions so reaudit() only re-does work the delta could have changed:
 //
-//  - types 1-4: maintained exactly by the IncrementalAuditor substrate
-//    (degree counters + digest-bucket axis indexes, incremental.hpp);
+//  - types 1-3: the batch structural phase on the RUAM/RPAM each reaudit
+//    compiles from the live rows (linear; no pairs);
+//  - type 4: the batch finder on the first pass, then maintained exactly by
+//    the IncrementalAuditor's digest-bucket axis indexes (incremental.hpp);
 //  - type 5: the *full matched pair set* of the last similar-phase run is
 //    cached per matrix axis. On re-audit only pairs with >= 1 endpoint in
 //    the dirty role set (roles whose row mutated on that axis) are
@@ -101,9 +103,12 @@ struct RbacDelta {
 // EnginePersistentState and EngineVersion moved to core/engine_version.hpp
 // (the published read view shares them with the service and store layers).
 
-// ---- shared by AuditEngine and ShardedEngine (core/sharded_engine.hpp) ------
-// Both engines keep their RBAC state in one IncrementalAuditor; what they
-// decide the same way is written once here.
+// ---- shared by audit(), AuditEngine and ShardedEngine ----------------------
+// The one-shot audit() (framework.hpp) runs the batch phases on the
+// dataset's own matrices; both engines keep their RBAC state in one
+// IncrementalAuditor, and AuditEngine's full pass runs the same batch phases
+// on the matrices it compiles from it. What they decide the same way is
+// written once here.
 
 /// Applies the batch in order, by name, through `engine`'s mutators: add-*
 /// and edge additions intern unknown names, revocations of unknown names are
@@ -144,8 +149,15 @@ void apply_delta(Engine& engine, const RbacDelta& delta) {
   }
 }
 
-/// A reaudit's report before any phase runs: entity counts, options,
-/// version, the content digest of `state`, and `finder`'s method name.
+/// The finder an audit runs: `options.method` with its threads and backend.
+[[nodiscard]] std::unique_ptr<GroupFinder> make_group_finder(const AuditOptions& options);
+
+/// An audit's report before any phase runs: entity counts, options,
+/// version, the content digest of `state`, and `finder`'s method name. The
+/// state is the dataset a one-shot audit() reads or an engine's live
+/// auditor; both digest identically (core/digest.hpp).
+[[nodiscard]] AuditReport report_preamble(const RbacDataset& state, const AuditOptions& options,
+                                          std::uint64_t version, const GroupFinder& finder);
 [[nodiscard]] AuditReport report_preamble(const IncrementalAuditor& state,
                                           const AuditOptions& options, std::uint64_t version,
                                           const GroupFinder& finder);
@@ -171,6 +183,30 @@ bool run_phase(const util::ExecutionContext& ctx, PhaseTiming& timing, RoleGroup
 /// The similar phase's integer threshold: the Hamming threshold, or the
 /// Jaccard dissimilarity on the kJaccardScale grid.
 [[nodiscard]] std::size_t similar_threshold_scaled(const AuditOptions& options);
+
+/// The structural phase on compiled RUAM/RPAM: the distinct-edge counts and
+/// types 1-3 (detect_structural). The phase's time runs from `watch`'s
+/// start, this call by default; a caller that compiles the matrices first
+/// passes a watch started before the compile.
+void structural_phase(AuditReport& report, const linalg::CsrMatrix& ruam,
+                      const linalg::CsrMatrix& rpam, const util::Stopwatch& watch = {});
+
+/// The batch same phase on one matrix: `finder`'s find_same under `ctx`,
+/// through run_phase.
+void batch_same_phase(const util::ExecutionContext& ctx, const GroupFinder& finder,
+                      const linalg::CsrMatrix& matrix, PhaseTiming& timing, RoleGroups& out,
+                      FinderWorkStats& work);
+
+/// The batch similar phase on one matrix: `finder`'s Hamming or Jaccard
+/// search at similar_threshold_scaled(options) under `ctx`, through
+/// run_phase. With `sink`, the finder's pair-verifying paths append every
+/// matched pair to it (GroupFinder::collect_matched_pairs) — AuditEngine
+/// seeds its pair cache from them; audit() passes none. Returns whether the
+/// phase ran.
+bool batch_similar_phase(const util::ExecutionContext& ctx, const GroupFinder& finder,
+                         const AuditOptions& options, const linalg::CsrMatrix& matrix,
+                         PhaseTiming& timing, RoleGroups& out, FinderWorkStats& work,
+                         methods::MatchedPairs* sink = nullptr);
 
 /// Swaps the next immutable EngineVersion into `slot`: a bulk snapshot of
 /// `state` (lazy matrix caches compiled while the writer is its sole owner),
@@ -240,8 +276,8 @@ class AuditEngine {
   /// Opt into version publication (off by default: capturing a version costs
   /// one bulk copy of the name tables and compiled rows per reaudit, O(names
   /// + edges) — about 2.4 ms on the 60k-employee churn-serve benchmark, 4-vCPU
-  /// x86-64 host — which the one-shot audit() and batch benches must not
-  /// pay). The store/service layers enable it.
+  /// x86-64 host — which a caller that only reads the returned reports need
+  /// not pay). The store/service layers enable it.
   void set_publish_versions(bool enabled) noexcept { publish_versions_ = enabled; }
   [[nodiscard]] bool publish_versions() const noexcept { return publish_versions_; }
 

@@ -148,11 +148,27 @@ void validate_audit_options(const AuditOptions& options) {
 }
 
 AuditReport audit(const RbacDataset& dataset, const AuditOptions& options) {
-  // The engine's first re-audit is the full batch pass (engine.cpp), so this
-  // wrapper is behavior- and byte-compatible with the historical one-shot
-  // implementation.
-  AuditEngine engine(dataset, options);
-  return engine.reaudit();
+  validate_audit_options(options);
+  const util::ExecutionContext ctx(options.time_budget_s);
+  const std::unique_ptr<GroupFinder> finder = make_group_finder(options);
+  // The digest reads the dataset's rows, so a cold dataset compiles its
+  // matrices here, before the phases.
+  AuditReport report = report_preamble(dataset, options, /*version=*/0, *finder);
+  const linalg::CsrMatrix& ruam = dataset.ruam();
+  const linalg::CsrMatrix& rpam = dataset.rpam();
+  structural_phase(report, ruam, rpam);
+
+  batch_same_phase(ctx, *finder, ruam, report.same_users_time, report.same_user_groups,
+                   report.same_users_work);
+  batch_same_phase(ctx, *finder, rpam, report.same_permissions_time,
+                   report.same_permission_groups, report.same_permissions_work);
+  if (options.detect_similar) {
+    batch_similar_phase(ctx, *finder, options, ruam, report.similar_users_time,
+                        report.similar_user_groups, report.similar_users_work);
+    batch_similar_phase(ctx, *finder, options, rpam, report.similar_permissions_time,
+                        report.similar_permission_groups, report.similar_permissions_work);
+  }
+  return report;
 }
 
 }  // namespace rolediet::core

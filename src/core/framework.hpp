@@ -135,10 +135,11 @@ struct AuditReport {
 /// or non-finite.
 void validate_audit_options(const AuditOptions& options);
 
-/// Runs the full detection framework over `dataset`. One-shot convenience
-/// wrapper over core::AuditEngine (engine.hpp): constructs an engine and
-/// runs its first (full) re-audit, so the two entry points are one code
-/// path and byte-identical by construction.
+/// Runs the full detection framework over `dataset`, directly on its
+/// compiled RUAM/RPAM: no engine state is built. The phases are the batch
+/// phases core::AuditEngine's first (full) re-audit runs on the matrices it
+/// compiles (engine.hpp), so the two entry points share one phase
+/// implementation and report identical findings, counters and digest.
 ///
 /// Validates `options` up front (validate_audit_options) so library callers
 /// get the same guardrails the CLI enforces on its flags.

@@ -405,10 +405,7 @@ RoleGroups ShardedEngine::sharded_similar(AxisKind axis, std::size_t threshold, 
 
 AuditReport ShardedEngine::reaudit() {
   const util::ExecutionContext ctx(options_.time_budget_s);
-  GroupFinderOptions finder_options;
-  finder_options.threads = options_.threads;
-  finder_options.backend = options_.backend;
-  const std::unique_ptr<GroupFinder> finder = make_group_finder(options_.method, finder_options);
+  const std::unique_ptr<GroupFinder> finder = make_group_finder(options_);
   AuditReport report = report_preamble(state_, options_, version_, *finder);
 
   {

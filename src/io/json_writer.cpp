@@ -1,5 +1,6 @@
 #include "io/json_writer.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -54,30 +55,39 @@ void JsonWriter::key(std::string_view name) {
   if (stack_.empty() || stack_.back() != Frame::kObjectExpectKey)
     throw std::logic_error("JsonWriter: key outside an object or after another key");
   if (needs_comma_) raw(",");
-  std::ostringstream tmp;
-  write_escaped(tmp, name);
-  out_ << tmp.str() << ":";
+  write_escaped(name);
+  raw(":");
   stack_.back() = Frame::kObjectExpectValue;
   needs_comma_ = false;
 }
 
 void JsonWriter::value(std::string_view s) {
   before_value();
-  std::ostringstream tmp;
-  write_escaped(tmp, s);
-  out_ << tmp.str();
+  write_escaped(s);
   needs_comma_ = true;
 }
 
+namespace {
+
+/// Appends the decimal form of `n` (what `ostream << n` writes).
+template <typename Integer>
+void append_integer(std::string& out, Integer n) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), n);
+  out.append(buf, end);
+}
+
+}  // namespace
+
 void JsonWriter::value(std::int64_t n) {
   before_value();
-  out_ << n;
+  append_integer(out_, n);
   needs_comma_ = true;
 }
 
 void JsonWriter::value(std::uint64_t n) {
   before_value();
-  out_ << n;
+  append_integer(out_, n);
   needs_comma_ = true;
 }
 
@@ -105,31 +115,47 @@ void JsonWriter::null() {
   needs_comma_ = true;
 }
 
-std::string JsonWriter::str() const {
+void JsonWriter::check_closed() const {
   if (!stack_.empty()) throw std::logic_error("JsonWriter: unclosed containers");
-  return out_.str();
 }
 
-void JsonWriter::write_escaped(std::ostringstream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
+std::string JsonWriter::str() const& {
+  check_closed();
+  return out_;
+}
+
+std::string JsonWriter::str() && {
+  check_closed();
+  return std::move(out_);
+}
+
+void JsonWriter::write_escaped(std::string_view s) {
+  out_ += '"';
+  std::size_t run = 0;  // start of the pending run of bytes that need no escape
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escape = nullptr;
     switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\n': escape = "\\n"; break;
+      case '\r': escape = "\\r"; break;
+      case '\t': escape = "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out_.append(s.substr(run, i - run));
+    run = i + 1;
+    if (escape != nullptr) {
+      out_.append(escape);
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out_.append(buf);
     }
   }
-  out << '"';
+  out_.append(s.substr(run));
+  out_ += '"';
 }
 
 namespace {
@@ -324,7 +350,7 @@ std::string report_to_json(const core::AuditReport& report, const core::RbacData
     w.end_object();
   }
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 }  // namespace rolediet::io

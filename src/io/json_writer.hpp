@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/framework.hpp"
@@ -35,17 +35,20 @@ class JsonWriter {
   void value(bool b);
   void null();
 
-  /// The finished document. Valid once all containers are closed.
-  [[nodiscard]] std::string str() const;
+  /// The finished document. Valid once all containers are closed. An
+  /// rvalue writer hands its buffer over instead of copying it.
+  [[nodiscard]] std::string str() const&;
+  [[nodiscard]] std::string str() &&;
 
  private:
   enum class Frame { kObjectExpectKey, kObjectExpectValue, kArray };
 
   void before_value();
-  void raw(std::string_view text) { out_ << text; }
-  static void write_escaped(std::ostringstream& out, std::string_view s);
+  void raw(std::string_view text) { out_.append(text); }
+  void write_escaped(std::string_view s);
+  void check_closed() const;
 
-  std::ostringstream out_;
+  std::string out_;  ///< the document so far; every token appends to it
   std::vector<Frame> stack_;
   bool needs_comma_ = false;
 };

@@ -45,25 +45,41 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols)
     : cols_(cols), row_ptr_(rows + 1, 0) {}
 
 CsrMatrix CsrMatrix::from_pairs(std::size_t rows, std::size_t cols,
-                                std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs) {
+                                std::span<const Entry> pairs) {
   for (const auto& [r, c] : pairs) {
     if (r >= rows || c >= cols)
       throw std::out_of_range("CsrMatrix::from_pairs: entry (" + std::to_string(r) + ", " +
                               std::to_string(c) + ") outside " + std::to_string(rows) + "x" +
                               std::to_string(cols));
   }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
   CsrMatrix m(rows, cols);
-  m.cols_idx_.reserve(pairs.size());
-  std::size_t next_pair = 0;
+  // Counting sort by row: row r's columns land in [row_ptr[r], row_ptr[r+1])
+  // in input order.
+  for (const auto& [r, c] : pairs) ++m.row_ptr_[r + 1];
+  for (std::size_t r = 0; r < rows; ++r) m.row_ptr_[r + 1] += m.row_ptr_[r];
+  m.cols_idx_.resize(pairs.size());
+  {
+    std::vector<std::size_t> cursor(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
+    for (const auto& [r, c] : pairs) m.cols_idx_[cursor[r]++] = c;
+  }
+  // Sort and deduplicate each row, compacting the rows toward the front.
+  const auto at = [&m](std::size_t k) {
+    return m.cols_idx_.begin() + static_cast<std::ptrdiff_t>(k);
+  };
+  std::size_t kept = 0;
   for (std::size_t r = 0; r < rows; ++r) {
-    while (next_pair < pairs.size() && pairs[next_pair].first == r) {
-      m.cols_idx_.push_back(pairs[next_pair].second);
-      ++next_pair;
-    }
-    m.row_ptr_[r + 1] = m.cols_idx_.size();
+    const auto begin = at(m.row_ptr_[r]);
+    const auto end = at(m.row_ptr_[r + 1]);
+    std::sort(begin, end);
+    const auto unique_end = std::unique(begin, end);
+    if (kept != m.row_ptr_[r]) std::copy(begin, unique_end, at(kept));  // kept < row start
+    m.row_ptr_[r] = kept;
+    kept += static_cast<std::size_t>(unique_end - begin);
+  }
+  m.row_ptr_[rows] = kept;
+  if (kept < m.cols_idx_.size()) {
+    m.cols_idx_.resize(kept);
+    m.cols_idx_.shrink_to_fit();
   }
   return m;
 }

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <utility>
 #include <vector>
@@ -74,10 +75,20 @@ class CsrMatrix {
   /// rows x cols matrix with no stored entries.
   CsrMatrix(std::size_t rows, std::size_t cols);
 
-  /// Builds from (row, col) pairs. Duplicates are collapsed; out-of-range
-  /// pairs throw std::out_of_range. The input need not be sorted.
+  using Entry = std::pair<std::uint32_t, std::uint32_t>;  ///< (row, col)
+
+  /// Builds from (row, col) pairs, read in place. Duplicates are collapsed;
+  /// an out-of-range pair throws std::out_of_range naming the first one in
+  /// input order. The input need not be sorted. O(rows + nnz) plus a sort
+  /// of each row: a counting pass buckets the columns by row, then each
+  /// row is sorted and deduplicated where it lies.
   [[nodiscard]] static CsrMatrix from_pairs(std::size_t rows, std::size_t cols,
-                                            std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs);
+                                            std::span<const Entry> pairs);
+  /// The same from a braced list of pairs.
+  [[nodiscard]] static CsrMatrix from_pairs(std::size_t rows, std::size_t cols,
+                                            std::initializer_list<Entry> pairs) {
+    return from_pairs(rows, cols, std::span<const Entry>(pairs.begin(), pairs.size()));
+  }
 
   /// Adopts already-built CSR arrays (row_ptr.size() == rows+1, sorted unique
   /// indices per row). Validates the structural invariants and throws

@@ -1,10 +1,13 @@
 // Unit tests for the sparse CSR matrix and dense<->sparse conversions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "linalg/convert.hpp"
 #include "linalg/csr_matrix.hpp"
+#include "util/prng.hpp"
 
 namespace rolediet::linalg {
 namespace {
@@ -48,6 +51,58 @@ TEST(CsrMatrix, FromPairsCollapsesDuplicates) {
 TEST(CsrMatrix, FromPairsRejectsOutOfRange) {
   EXPECT_THROW(CsrMatrix::from_pairs(2, 2, {{2, 0}}), std::out_of_range);
   EXPECT_THROW(CsrMatrix::from_pairs(2, 2, {{0, 2}}), std::out_of_range);
+}
+
+/// The sort-based construction from_pairs used before its row-bucketed
+/// form: sort every pair, drop repeats, cut the list into rows.
+CsrMatrix from_pairs_by_sort(std::size_t rows, std::size_t cols,
+                             std::vector<CsrMatrix::Entry> pairs) {
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  std::vector<std::size_t> row_ptr(rows + 1, 0);
+  std::vector<std::uint32_t> cols_idx;
+  for (const auto& [r, c] : pairs) {
+    ++row_ptr[r + 1];
+    cols_idx.push_back(c);
+  }
+  for (std::size_t r = 0; r < rows; ++r) row_ptr[r + 1] += row_ptr[r];
+  return CsrMatrix::from_csr(cols, std::move(row_ptr), std::move(cols_idx));
+}
+
+TEST(CsrMatrix, FromPairsEqualsTheSortBasedForm) {
+  // Unsorted input with repeats, empty rows (including the first and last),
+  // a row holding one column many times, and shapes down to 0 x 0.
+  util::Xoshiro256 rng(0xC5A);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t rows = rng.bounded(12);
+    const std::size_t cols = 1 + rng.bounded(40);
+    std::vector<CsrMatrix::Entry> pairs;
+    const std::size_t n = rows == 0 ? 0 : rng.bounded(4 * rows * 3);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto r = static_cast<std::uint32_t>(rng.bounded(rows));
+      if (r % 3 == 1) continue;  // every third row stays empty
+      // Odd trials crowd each row into three columns: many repeats.
+      const auto c = static_cast<std::uint32_t>(
+          rng.bounded(trial % 2 == 0 ? cols : std::min<std::size_t>(cols, 3)));
+      pairs.emplace_back(r, c);
+      if (rng.bounded(4) == 0) pairs.emplace_back(r, c);  // repeat
+    }
+    const CsrMatrix bucketed = CsrMatrix::from_pairs(rows, cols, pairs);
+    EXPECT_EQ(bucketed, from_pairs_by_sort(rows, cols, pairs)) << "trial " << trial;
+    EXPECT_EQ(bucketed.col_idx().size(), bucketed.nnz());
+  }
+}
+
+TEST(CsrMatrix, FromPairsNamesTheFirstOutOfRangeEntry) {
+  const std::vector<CsrMatrix::Entry> pairs = {{0, 1}, {1, 7}, {5, 0}, {1, 1}};
+  try {
+    (void)CsrMatrix::from_pairs(2, 3, pairs);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "CsrMatrix::from_pairs: entry (1, 7) outside 2x3");
+  }
+  EXPECT_THROW((void)CsrMatrix::from_pairs(0, 0, {{0, 0}}), std::out_of_range);
+  EXPECT_EQ(CsrMatrix::from_pairs(0, 0, std::span<const CsrMatrix::Entry>()), CsrMatrix(0, 0));
 }
 
 TEST(CsrMatrix, Get) {

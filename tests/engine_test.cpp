@@ -466,6 +466,123 @@ TEST(Engine, AuditWrapperEqualsFirstReaudit) {
   EXPECT_EQ(canonical_text(engine.reaudit()), canonical_text(core::audit(d, options)));
 }
 
+// ---- audit() == the engine's first pass -------------------------------------
+// audit() runs the batch phases on the dataset's own matrices; the engine's
+// first reaudit() runs them on the rows it copied and compiled, with the
+// pair-cache sink armed. Different state, same phases: everything but the
+// timings must agree, work counters included.
+
+void expect_same_work(const core::FinderWorkStats& a, const core::FinderWorkStats& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.rows_processed, b.rows_processed) << where;
+  EXPECT_EQ(a.pairs_evaluated, b.pairs_evaluated) << where;
+  EXPECT_EQ(a.pairs_matched, b.pairs_matched) << where;
+  EXPECT_EQ(a.merges, b.merges) << where;
+  EXPECT_EQ(a.merge_conflicts, b.merge_conflicts) << where;
+}
+
+void expect_audit_equals_first_pass(const core::RbacDataset& d, const AuditOptions& options,
+                                    const std::string& where) {
+  const AuditReport one_shot = core::audit(d, options);
+  const AuditReport first = AuditEngine(d, options).reaudit();
+  EXPECT_EQ(canonical_text(one_shot), canonical_text(first)) << where;
+  EXPECT_EQ(one_shot.dataset_digest, first.dataset_digest) << where;
+  EXPECT_EQ(one_shot.engine_version, first.engine_version) << where;  // 0: one-shot
+  EXPECT_EQ(one_shot.num_user_assignments, first.num_user_assignments) << where;
+  EXPECT_EQ(one_shot.num_permission_grants, first.num_permission_grants) << where;
+  EXPECT_EQ(one_shot.structural, first.structural) << where;
+  EXPECT_EQ(one_shot.same_user_groups, first.same_user_groups) << where;
+  EXPECT_EQ(one_shot.same_permission_groups, first.same_permission_groups) << where;
+  EXPECT_EQ(one_shot.similar_user_groups, first.similar_user_groups) << where;
+  EXPECT_EQ(one_shot.similar_permission_groups, first.similar_permission_groups) << where;
+  expect_same_work(one_shot.same_users_work, first.same_users_work, where + " same-users");
+  expect_same_work(one_shot.same_permissions_work, first.same_permissions_work,
+                   where + " same-perms");
+  expect_same_work(one_shot.similar_users_work, first.similar_users_work,
+                   where + " similar-users");
+  expect_same_work(one_shot.similar_permissions_work, first.similar_permissions_work,
+                   where + " similar-perms");
+  for (const auto& [a, b] :
+       {std::pair{&one_shot.same_users_time, &first.same_users_time},
+        {&one_shot.same_permissions_time, &first.same_permissions_time},
+        {&one_shot.similar_users_time, &first.similar_users_time},
+        {&one_shot.similar_permissions_time, &first.similar_permissions_time}}) {
+    EXPECT_EQ(a->timed_out, b->timed_out) << where;
+  }
+}
+
+TEST(AuditEqualsFirstPass, EveryMethodThresholdAndThreadCount) {
+  for (const std::uint64_t seed : {0xA11Du, 0xB22Eu, 0xC33Fu}) {
+    util::Xoshiro256 rng(seed);
+    const core::RbacDataset d = seed_dataset(rng);
+    for (const Method method : {Method::kExactDbscan, Method::kApproxHnsw,
+                                Method::kApproxMinhash, Method::kRoleDiet}) {
+      for (const std::size_t threads : {1u, 4u}) {
+        AuditOptions options;
+        options.method = method;
+        options.threads = threads;
+        for (const std::size_t t : {0u, 1u, 2u}) {
+          options.similarity_mode = core::SimilarityMode::kHamming;
+          options.similarity_threshold = t;
+          expect_audit_equals_first_pass(d, options,
+                                         std::string(core::to_string(method)) + " t=" +
+                                             std::to_string(t) + " threads=" +
+                                             std::to_string(threads));
+        }
+        options.similarity_mode = core::SimilarityMode::kJaccard;
+        options.jaccard_dissimilarity = 0.4;
+        expect_audit_equals_first_pass(
+            d, options,
+            std::string(core::to_string(method)) + " j=0.4 threads=" + std::to_string(threads));
+        options.detect_similar = false;
+        expect_audit_equals_first_pass(
+            d, options,
+            std::string(core::to_string(method)) + " similar=off threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST(AuditEqualsFirstPass, ExhaustedBudgetSkipsTheSamePhases) {
+  util::Xoshiro256 rng(0x5C1F);
+  const core::RbacDataset d = seed_dataset(rng);
+  AuditOptions options;
+  options.time_budget_s = 1e-12;  // expired before the first group-finding phase
+  expect_audit_equals_first_pass(d, options, "starved");
+  const AuditReport one_shot = core::audit(d, options);
+  for (const core::PhaseTiming* t :
+       {&one_shot.same_users_time, &one_shot.same_permissions_time,
+        &one_shot.similar_users_time, &one_shot.similar_permissions_time}) {
+    EXPECT_TRUE(t->timed_out);
+    EXPECT_EQ(t->seconds, 0.0);
+  }
+  // The structural phase is not budgeted: seed_dataset leaves every 7th role empty.
+  EXPECT_FALSE(one_shot.structural.standalone_roles.empty());
+}
+
+TEST(AuditEqualsFirstPass, NormDecidedClique) {
+  // 2,000 roles of one distinct permission each: at t = 2 every pair matches
+  // on norms alone. audit() arms no pair sink, so it never holds the ~2M
+  // matched pairs the engine's cache seeding collects.
+  constexpr std::size_t kRoles = 2000;
+  core::RbacDataset d;
+  d.add_users(3 * kRoles);
+  d.add_roles(kRoles);
+  d.add_permissions(kRoles);
+  for (core::Id r = 0; r < kRoles; ++r) {
+    for (core::Id k = 0; k < 3; ++k) d.assign_user(r, 3 * r + k);  // disjoint, not tiny
+    d.grant_permission(r, r);
+  }
+  AuditOptions options;
+  options.similarity_threshold = 2;
+  expect_audit_equals_first_pass(d, options, "clique");
+  const AuditReport one_shot = core::audit(d, options);
+  ASSERT_EQ(one_shot.similar_permission_groups.group_count(), 1u);
+  EXPECT_EQ(one_shot.similar_permission_groups.roles_in_groups(), kRoles);
+  EXPECT_EQ(one_shot.similar_permissions_work.pairs_matched, kRoles * (kRoles - 1) / 2);
+  EXPECT_EQ(one_shot.similar_user_groups.group_count(), 0u);
+}
+
 TEST(Engine, RejectsInvalidOptions) {
   core::RbacDataset d;
   AuditOptions bad;
@@ -507,6 +624,44 @@ TEST(Engine, DatasetDigestIsPinned) {
   EXPECT_EQ(core::audit(d).dataset_digest, kPinned);
   EXPECT_EQ(core::dataset_content_digest(AuditEngine(d).snapshot()), kPinned);
   EXPECT_EQ(core::ShardedEngine(d, 3).reaudit().dataset_digest, kPinned);
+}
+
+TEST(ContentDigest, U64EqualsTheByteLoop) {
+  // u64() folds a value's high zero bytes into one multiply; the state must
+  // equal feeding all eight little-endian bytes one at a time.
+  const auto byte_loop = [](std::uint64_t v) {
+    core::ContentDigest d;
+    unsigned char buf[8];
+    for (std::size_t i = 0; i < 8; ++i) buf[i] = static_cast<unsigned char>(v >> (8 * i));
+    d.bytes(buf, sizeof(buf));
+    return d.value();
+  };
+  const auto folded = [](std::uint64_t v) {
+    core::ContentDigest d;
+    d.u64(v);
+    return d.value();
+  };
+  std::vector<std::uint64_t> values = {0,
+                                       1,
+                                       (1ULL << 8) - 1,
+                                       1ULL << 8,
+                                       (1ULL << 32) - 1,
+                                       1ULL << 63,
+                                       std::numeric_limits<std::uint64_t>::max()};
+  util::Xoshiro256 rng(0xF01D);
+  for (int i = 0; i < 1000; ++i) values.push_back(rng() >> rng.bounded(64));  // every width
+  for (const std::uint64_t v : values) EXPECT_EQ(folded(v), byte_loop(v)) << v;
+
+  // A running state, not just the offset basis: chain every value.
+  core::ContentDigest chained;
+  core::ContentDigest reference;
+  for (const std::uint64_t v : values) {
+    chained.u64(v);
+    unsigned char buf[8];
+    for (std::size_t i = 0; i < 8; ++i) buf[i] = static_cast<unsigned char>(v >> (8 * i));
+    reference.bytes(buf, sizeof(buf));
+  }
+  EXPECT_EQ(chained.value(), reference.value());
 }
 
 // ---------------------------------------------------------------- journal ---

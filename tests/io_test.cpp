@@ -364,6 +364,59 @@ TEST(JsonWriter, ControlCharactersEscaped) {
   EXPECT_EQ(w.str(), "[\"a\\u0001b\\tc\"]");
 }
 
+TEST(JsonWriter, EveryByteAndIntegerExtremeMatchesTheStreamForm) {
+  // The writer appends to one string; its bytes must equal the stream-based
+  // form it replaced: that escaper, and `ostream << n` for integers.
+  const auto stream_escaped = [](std::string_view s) {
+    std::ostringstream out;
+    out << '"';
+    for (char c : s) {
+      switch (c) {
+        case '"': out << "\\\""; break;
+        case '\\': out << "\\\\"; break;
+        case '\n': out << "\\n"; break;
+        case '\r': out << "\\r"; break;
+        case '\t': out << "\\t"; break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+            out << buf;
+          } else {
+            out << c;
+          }
+      }
+    }
+    out << '"';
+    return out.str();
+  };
+  std::string every_byte;
+  for (int b = 0; b < 256; ++b) every_byte += static_cast<char>(b);
+  every_byte += "tail";
+
+  JsonWriter w;
+  w.begin_object();
+  w.key(every_byte);
+  w.value(std::string_view(every_byte));
+  w.key("");
+  w.begin_array();
+  w.value(std::numeric_limits<std::int64_t>::min());
+  w.value(std::numeric_limits<std::int64_t>::max());
+  w.value(std::uint64_t{0});
+  w.value(std::numeric_limits<std::uint64_t>::max());
+  w.value(1.0 / 3.0);
+  w.end_array();
+  w.end_object();
+
+  std::ostringstream expected;
+  expected << '{' << stream_escaped(every_byte) << ':' << stream_escaped(every_byte) << ','
+           << stream_escaped("") << ":[" << std::numeric_limits<std::int64_t>::min() << ','
+           << std::numeric_limits<std::int64_t>::max() << ",0,"
+           << std::numeric_limits<std::uint64_t>::max() << ",0.333333333]}";  // %.9g
+  EXPECT_EQ(w.str(), expected.str());
+  EXPECT_EQ(std::move(w).str(), expected.str());  // the rvalue form hands the buffer over
+}
+
 TEST(ReportCsv, OneRowPerFinding) {
   const core::RbacDataset d = rolediet::testing::figure1_dataset();
   const core::AuditReport report = core::audit(d);
