@@ -91,6 +91,14 @@ std::size_t parse_size(const std::string& text, const std::string& what) {
   }
 }
 
+/// A thread count (--threads, --readers). Findings are identical at every
+/// count; the bound keeps a typo from asking for billions of threads.
+std::size_t parse_threads(const std::string& text, const std::string& what) {
+  const std::size_t value = parse_size(text, what);
+  if (value > 256) throw UsageError(what + " must be <= 256 (got '" + text + "')");
+  return value;
+}
+
 double parse_double(const std::string& text, const std::string& what) {
   try {
     std::size_t pos = 0;
@@ -163,7 +171,7 @@ core::AuditOptions parse_audit_options(Args& args) {
       throw UsageError("--budget must be >= 0 seconds (0 = unlimited; got '" + *budget + "')");
   }
   if (auto threads = args.take_option("--threads"))
-    options.threads = parse_size(*threads, "--threads");
+    options.threads = parse_threads(*threads, "--threads");
   if (auto backend = args.take_option("--backend")) options.backend = parse_backend(*backend);
   return options;
 }
@@ -512,7 +520,7 @@ int cmd_serve(Args& args, std::ostream& out) {
     if (batch_size == 0) throw UsageError("--batch-size must be >= 1");
   }
   std::size_t readers = 2;
-  if (auto value = args.take_option("--readers")) readers = parse_size(*value, "--readers");
+  if (auto value = args.take_option("--readers")) readers = parse_threads(*value, "--readers");
 
   if (args.done()) throw UsageError("serve: missing dataset directory");
   const std::string dir = args.take();
@@ -797,7 +805,7 @@ int cmd_mine(Args& args, std::ostream& out) {
       throw UsageError("--budget must be >= 0 seconds (0 = unlimited; got '" + *budget + "')");
   }
   if (auto threads = args.take_option("--threads"))
-    options.threads = parse_size(*threads, "--threads");
+    options.threads = parse_threads(*threads, "--threads");
   if (auto backend = args.take_option("--backend")) options.backend = parse_backend(*backend);
   const std::optional<std::string> json_path = args.take_option("--json");
 
@@ -941,7 +949,7 @@ int cmd_compare(Args& args, std::ostream& out) {
     threshold = parse_size(*value, "--threshold");
   core::GroupFinderOptions finder_options;
   if (auto threads = args.take_option("--threads"))
-    finder_options.threads = parse_size(*threads, "--threads");
+    finder_options.threads = parse_threads(*threads, "--threads");
   if (auto backend = args.take_option("--backend"))
     finder_options.backend = parse_backend(*backend);
   if (args.done()) throw UsageError("compare: missing dataset directory");
@@ -958,7 +966,7 @@ int cmd_compare(Args& args, std::ostream& out) {
                 "roles");
   out << line;
   for (core::Method method : {core::Method::kRoleDiet, core::Method::kExactDbscan,
-                              core::Method::kApproxHnsw}) {
+                              core::Method::kApproxHnsw, core::Method::kApproxMinhash}) {
     const auto finder = core::make_group_finder(method, finder_options);
     util::Stopwatch watch;
     const core::RoleGroups groups = threshold == 0
@@ -1018,8 +1026,8 @@ int cmd_help(std::ostream& out) {
          "                 --budget SECONDS (hard deadline: an over-budget\n"
          "                 phase stops mid-phase and reports partial groups)\n"
          "                 --json FILE  --csv FILE\n"
-         "                 --threads N (1 = sequential, 0 = all cores;\n"
-         "                 groups are identical at every thread count)\n"
+         "                 --threads N (1 = sequential, 0 = all cores, at\n"
+         "                 most 256; groups are identical at every count)\n"
          "                 --backend auto|dense|sparse (row-kernel backend;\n"
          "                 reports are identical for every choice)\n"
          "                 --shards N (range-partitioned sharded engine;\n"

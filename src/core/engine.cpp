@@ -8,7 +8,6 @@
 #include "cluster/metric.hpp"
 #include "core/digest.hpp"
 #include "core/methods/approx.hpp"
-#include "core/methods/prefix_filter.hpp"
 #include "util/timer.hpp"
 
 namespace rolediet::core {
@@ -76,7 +75,18 @@ std::vector<std::size_t> dirty_list(const std::vector<std::uint8_t>& flags) {
   return out;
 }
 
-void sort_unique(methods::MatchedPairs& pairs) {
+/// Makes collected pairs a pair cache: drops the pairs norms alone decide
+/// (every reaudit joins those as one star from the current norms) and sorts
+/// the rest unique. `norm(r)` is role r's norm on the cache's axis. HNSW's
+/// delta pass joins no star, so its cache keeps every pair.
+template <typename Norm>
+void seal_pair_cache(methods::MatchedPairs& pairs, const AuditOptions& options, Norm&& norm) {
+  if (options.method != Method::kApproxHnsw) {
+    const methods::SimilarVerdict verdict = similar_verdict(options);
+    std::erase_if(pairs, [&](const auto& p) {
+      return verdict.norm_decided(norm(p.first), norm(p.second));
+    });
+  }
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 }
@@ -213,11 +223,12 @@ void AuditEngine::restore_persistent_state(EnginePersistentState state) {
   audits_ = state.audits;
   audited_once_ = state.audited_once;
   const bool hnsw = options_.method == Method::kApproxHnsw;
-  auto unpack = [&](Axis& axis, EnginePersistentState::AxisState&& s) {
+  auto unpack = [&](Axis& axis, EnginePersistentState::AxisState&& s, auto&& norm) {
     axis.dirty = std::move(s.dirty);
     axis.similar.valid = s.similar_valid && !hnsw;
     axis.similar.pairs =
         axis.similar.valid ? std::move(s.similar_pairs) : methods::MatchedPairs{};
+    seal_pair_cache(axis.similar.pairs, options_, norm);
     // Candidate artifacts are rebuild-marked: the next delta pass re-derives
     // them from the restored matrices. The index is dropped before its
     // viewed matrix handle.
@@ -228,8 +239,10 @@ void AuditEngine::restore_persistent_state(EnginePersistentState state) {
     axis.hnsw.points.reset();
     axis.hnsw.slotted.clear();
   };
-  unpack(users_axis_, std::move(state.users));
-  unpack(perms_axis_, std::move(state.perms));
+  unpack(users_axis_, std::move(state.users),
+         [this](std::uint32_t r) { return state_.users_of_role(r).size(); });
+  unpack(perms_axis_, std::move(state.perms),
+         [this](std::uint32_t r) { return state_.permissions_of_role(r).size(); });
   // HNSW's maintained graph depends on insertion history; with it gone, the
   // deterministic full batch pass is the only path that reproduces what a
   // from-scratch engine on the same data reports.
@@ -257,7 +270,8 @@ bool AuditEngine::cacheable_exact() const {
   return scaled > 0 && scaled < cluster::kJaccardScale;
 }
 
-RoleGroups AuditEngine::finish_delta(Axis& axis, methods::PairPipelineOutcome&& outcome,
+RoleGroups AuditEngine::finish_delta(Axis& axis, const linalg::CsrMatrix& matrix,
+                                     methods::PairPipelineOutcome&& outcome,
                                      methods::MatchedPairs&& fresh, std::size_t dirty_count,
                                      const util::ExecutionContext& ctx, FinderWorkStats& work) {
   // Clean-clean pairs cannot have changed verdicts (pairwise-local
@@ -293,9 +307,8 @@ RoleGroups AuditEngine::finish_delta(Axis& axis, methods::PairPipelineOutcome&& 
     // subset and must not seed the next version's cache.
     axis.similar.valid = false;
   } else {
-    sort_unique(fresh);
     kept.insert(kept.end(), fresh.begin(), fresh.end());
-    sort_unique(kept);
+    seal_pair_cache(kept, options_, [&matrix](std::uint32_t r) { return matrix.row_size(r); });
     axis.similar.pairs = std::move(kept);
     axis.similar.valid = true;
   }
@@ -308,10 +321,7 @@ RoleGroups AuditEngine::delta_similar(Axis& axis, const linalg::CsrMatrix& matri
                                       FinderWorkStats& work) {
   const std::vector<std::size_t> dirty = dirty_list(axis.dirty);
   const linalg::RowStore store(matrix);  // sparse kernels; verdicts are backend-invariant
-  const bool jaccard_mode = options_.similarity_mode == SimilarityMode::kJaccard;
-  const std::size_t thr = similar_threshold_scaled(options_);
-  const methods::SimilarVerdict verdict =
-      jaccard_mode ? methods::SimilarVerdict::jaccard(thr) : methods::SimilarVerdict::hamming(thr);
+  const methods::SimilarVerdict verdict = similar_verdict(options_);
   auto is_dirty = [&axis](std::size_t j) { return j < axis.dirty.size() && axis.dirty[j] != 0; };
   // Dedupe rule: dirty row d emits (d, j) unless j is also dirty and will
   // emit the pair itself (j < d). Keeps the frontier scan near |D| * n even
@@ -320,6 +330,16 @@ RoleGroups AuditEngine::delta_similar(Axis& axis, const linalg::CsrMatrix& matri
 
   methods::MatchedPairs fresh;
   methods::PairPipelineOutcome outcome{cluster::UnionFind(matrix.rows())};
+  // One frontier pipeline under the phase's verdict, fed by either method's
+  // candidates.
+  const auto frontier = [&](auto&& generator_factory) {
+    return methods::pair_pipeline(
+        dirty.size(), matrix.rows(), options_.threads, /*grain=*/1, ctx, generator_factory,
+        [&](std::size_t a, std::size_t b, std::size_t g) {
+          return verdict.accepts(store.row_size(a), store.row_size(b), g);
+        },
+        &fresh);
+  };
 
   if (options_.method == Method::kApproxMinhash) {
     MinHashArtifact& art = axis.minhash;
@@ -333,85 +353,45 @@ RoleGroups AuditEngine::delta_similar(Axis& axis, const linalg::CsrMatrix& matri
       for (std::size_t d : dirty) art.index->update_row(store, d);
     }
     const cluster::MinHashBandIndex& index = *art.index;
-    outcome = methods::pair_pipeline(
-        dirty.size(), matrix.rows(), options_.threads, /*grain=*/1, ctx,
-        [&] {
-          // Candidates are gathered per dirty row and scored in one batched
-          // intersection pass (same integers as per-pair calls).
-          return [&, cand = std::vector<std::uint32_t>(),
-                  g = std::vector<std::size_t>()](std::size_t d_slot, auto&& emit) mutable {
-            const std::size_t d = dirty[d_slot];
-            const std::size_t d_norm = store.row_size(d);
-            if (d_norm == 0) return;
-            cand.clear();
-            for (std::uint32_t j : index.partners(d)) {
-              if (emits_pair(d, j)) cand.push_back(j);
-            }
-            // Disjoint tiny pairs are invisible to LSH; the batch finder
-            // covers them with a norm sweep, the frontier covers them here.
-            if (!jaccard_mode && thr > 0 && d_norm < thr) {
-              for (std::size_t j = 0; j < matrix.rows(); ++j) {
-                const std::size_t j_norm = store.row_size(j);
-                if (j == d || j_norm == 0 || j_norm >= thr) continue;
-                if (d_norm + j_norm > thr || !emits_pair(d, j)) continue;
-                cand.push_back(static_cast<std::uint32_t>(j));
-              }
-            }
-            g.resize(cand.size());
-            store.intersection_gather(d, cand, g.data());
-            for (std::size_t k = 0; k < cand.size(); ++k) emit(d, cand[k], g[k]);
-          };
-        },
-        [&](std::size_t a, std::size_t b, std::size_t g) {
-          return verdict.accepts(store.row_size(a), store.row_size(b), g);
-        },
-        &fresh);
+    outcome = frontier([&] {
+      // Candidates are gathered per dirty row and scored in one batched
+      // intersection pass (same integers as per-pair calls).
+      return [&, cand = std::vector<std::uint32_t>(),
+              g = std::vector<std::size_t>()](std::size_t d_slot, auto&& emit) mutable {
+        const std::size_t d = dirty[d_slot];
+        if (store.row_size(d) == 0) return;
+        cand.clear();
+        for (std::uint32_t j : index.partners(d)) {
+          if (emits_pair(d, j)) cand.push_back(j);
+        }
+        g.resize(cand.size());
+        store.intersection_gather(d, cand, g.data());
+        for (std::size_t k = 0; k < cand.size(); ++k) emit(d, cand[k], g[k]);
+      };
+    });
   } else {
     // Role-diet / DBSCAN: the batch matched set is exactly {nonempty (a, b):
-    // dist(a, b) <= thr}. At cacheable thresholds a matching pair either
+    // dist(a, b) <= thr}. At cacheable thresholds a content-decided match
     // shares a column — and then a column of both rows' prefixes, so the
-    // prefix filter (methods/prefix_filter.hpp) reaches it — or, Hamming
-    // only, is a *disjoint* pair of tiny rows with norm(a) + norm(b) <= thr.
-    // The index is rebuilt from this version's matrix under the maintained
-    // degrees, so the frontier scan stays at candidate volume instead of
-    // |D| * n.
+    // prefix filter (methods/prefix_filter.hpp) reaches it. The index is
+    // rebuilt from this version's matrix under the maintained degrees, so
+    // the frontier scan stays at candidate volume instead of |D| * n.
     const methods::PrefixIndex index(matrix, degrees, verdict);
-    std::vector<std::uint32_t> tiny;  // hamming only: rows with 0 < norm < thr, by norm
-    if (!jaccard_mode) {
-      for (std::size_t r = 0; r < matrix.rows(); ++r) {
-        const std::size_t norm = matrix.row_size(r);
-        if (norm > 0 && norm < thr) tiny.push_back(static_cast<std::uint32_t>(r));
-      }
-      std::stable_sort(tiny.begin(), tiny.end(), [&](std::uint32_t a, std::uint32_t b) {
-        return matrix.row_size(a) < matrix.row_size(b);
-      });
-    }
-    outcome = methods::pair_pipeline(
-        dirty.size(), matrix.rows(), options_.threads, /*grain=*/1, ctx,
-        [&] {
-          return [&, candidates = methods::PrefixCandidates(index)](std::size_t d_slot,
-                                                                    auto&& emit) mutable {
-            const std::size_t d = dirty[d_slot];
-            const std::size_t d_norm = matrix.row_size(d);
-            // The tiny rows whose norm fits beside d's: a norm-sorted prefix.
-            std::span<const std::uint32_t> partners;
-            if (!jaccard_mode && d_norm > 0 && d_norm < thr) {
-              const auto end = std::partition_point(tiny.begin(), tiny.end(), [&](std::uint32_t j) {
-                return d_norm + matrix.row_size(j) <= thr;
-              });
-              partners = std::span<const std::uint32_t>(tiny.data(), end - tiny.begin());
-            }
-            candidates.score(
-                d, store, [&](std::size_t j) { return emits_pair(d, j); }, emit, partners);
-          };
-        },
-        [&](std::size_t a, std::size_t b, std::size_t g) {
-          return verdict.accepts(store.row_size(a), store.row_size(b), g);
-        },
-        &fresh);
+    outcome = frontier([&] {
+      return [&, candidates = methods::PrefixCandidates(index)](std::size_t d_slot,
+                                                                auto&& emit) mutable {
+        const std::size_t d = dirty[d_slot];
+        candidates.score(d, store, [&](std::size_t j) { return emits_pair(d, j); }, emit);
+      };
+    });
   }
 
-  return finish_delta(axis, std::move(outcome), std::move(fresh), dirty.size(), ctx, work);
+  // The pairs norms alone decide are in no cache: one star over the current
+  // norms joins them (Hamming only). It is not frontier work, so the delta
+  // counters leave it out.
+  (void)verdict.unite_norm_decided(matrix, outcome.forest);
+  return finish_delta(axis, matrix, std::move(outcome), std::move(fresh), dirty.size(), ctx,
+                      work);
 }
 
 RoleGroups AuditEngine::hnsw_delta_similar(Axis& axis, const linalg::CsrMatrix& matrix,
@@ -471,7 +451,8 @@ RoleGroups AuditEngine::hnsw_delta_similar(Axis& axis, const linalg::CsrMatrix& 
       },
       [thr](std::size_t, std::size_t, std::size_t v) { return v <= thr; }, &fresh);
 
-  return finish_delta(axis, std::move(outcome), std::move(fresh), dirty.size(), ctx, work);
+  return finish_delta(axis, matrix, std::move(outcome), std::move(fresh), dirty.size(), ctx,
+                      work);
 }
 
 AuditReport AuditEngine::reaudit() {
@@ -543,13 +524,8 @@ AuditReport AuditEngine::reaudit() {
       // them so the next delta pass rebuilds from the current version.
       axis.minhash.built = false;
       axis.hnsw.built = false;
-      if (cache_on && ran && !timing.timed_out) {
-        sort_unique(collected);
-        axis.similar.pairs = std::move(collected);
-        axis.similar.valid = true;
-      } else {
-        axis.similar.valid = false;
-      }
+      axis.similar.valid = cache_on && ran && !timing.timed_out;
+      if (axis.similar.valid) axis.similar.pairs = std::move(collected);  // sealed by the phase
     };
 
     similar_phase(report.similar_users_time, report.similar_user_groups,
@@ -625,6 +601,13 @@ std::size_t similar_threshold_scaled(const AuditOptions& options) {
              : options.similarity_threshold;
 }
 
+methods::SimilarVerdict similar_verdict(const AuditOptions& options) {
+  const std::size_t threshold = similar_threshold_scaled(options);
+  return options.similarity_mode == SimilarityMode::kJaccard
+             ? methods::SimilarVerdict::jaccard(threshold)
+             : methods::SimilarVerdict::hamming(threshold);
+}
+
 void structural_phase(AuditReport& report, const linalg::CsrMatrix& ruam,
                       const linalg::CsrMatrix& rpam, const util::Stopwatch& watch) {
   report.num_user_assignments = ruam.nnz();
@@ -654,6 +637,10 @@ bool batch_similar_phase(const util::ExecutionContext& ctx, const GroupFinder& f
     RoleGroups groups = jaccard ? finder.find_similar_jaccard(matrix, threshold, c)
                                 : finder.find_similar(matrix, threshold, c);
     work = finder.last_work();
+    // Seeding a pair cache is part of the phase, and of its time.
+    if (sink != nullptr) {
+      seal_pair_cache(*sink, options, [&matrix](std::uint32_t r) { return matrix.row_size(r); });
+    }
     return groups;
   });
   finder.collect_matched_pairs(nullptr);

@@ -13,14 +13,15 @@
 //    compiles from the live rows (linear; no pairs);
 //  - type 4: the batch finder on the first pass, then maintained exactly by
 //    the IncrementalAuditor's digest-bucket axis indexes (incremental.hpp);
-//  - type 5: the *full matched pair set* of the last similar-phase run is
-//    cached per matrix axis. On re-audit only pairs with >= 1 endpoint in
-//    the dirty role set (roles whose row mutated on that axis) are
-//    regenerated and re-verified; clean-clean pairs are taken from the
+//  - type 5: the *content-decided* matched pairs of the last similar-phase
+//    run are cached per matrix axis. On re-audit only pairs with >= 1
+//    endpoint in the dirty role set (roles whose row mutated on that axis)
+//    are regenerated and re-verified; clean-clean pairs are taken from the
 //    cache. Soundness: every method's matched set is defined by a
 //    *pairwise-local* predicate (an exact kernel over the two rows —
 //    Hamming/Jaccard threshold, LSH band co-occupancy + exact verify), so a
-//    pair's verdict can only change when one of its endpoints mutates;
+//    pair's verdict can only change when one of its endpoints mutates. Each
+//    reaudit joins the uncached norm-decided pairs as one star;
 //  - per-method candidate artifacts: a maintained MinHash band index
 //    (cluster::MinHashBandIndex, re-signs only dirty rows) and a maintained
 //    HNSW graph (incremental insert, tombstoned deletes, in-place reinsert
@@ -53,6 +54,7 @@
 #include "core/framework.hpp"
 #include "core/incremental.hpp"
 #include "core/methods/method_common.hpp"
+#include "core/methods/prefix_filter.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "util/execution_context.hpp"
 #include "util/timer.hpp"
@@ -184,6 +186,9 @@ bool run_phase(const util::ExecutionContext& ctx, PhaseTiming& timing, RoleGroup
 /// Jaccard dissimilarity on the kJaccardScale grid.
 [[nodiscard]] std::size_t similar_threshold_scaled(const AuditOptions& options);
 
+/// The similar phase's verdict at similar_threshold_scaled(options).
+[[nodiscard]] methods::SimilarVerdict similar_verdict(const AuditOptions& options);
+
 /// The structural phase on compiled RUAM/RPAM: the distinct-edge counts and
 /// types 1-3 (detect_structural). The phase's time runs from `watch`'s
 /// start, this call by default; a caller that compiles the matrices first
@@ -200,9 +205,9 @@ void batch_same_phase(const util::ExecutionContext& ctx, const GroupFinder& find
 /// The batch similar phase on one matrix: `finder`'s Hamming or Jaccard
 /// search at similar_threshold_scaled(options) under `ctx`, through
 /// run_phase. With `sink`, the finder's pair-verifying paths append every
-/// matched pair to it (GroupFinder::collect_matched_pairs) — AuditEngine
-/// seeds its pair cache from them; audit() passes none. Returns whether the
-/// phase ran.
+/// matched pair to it (GroupFinder::collect_matched_pairs), and the phase
+/// makes it a pair cache — AuditEngine seeds its cache from it; audit()
+/// passes none. Returns whether the phase ran.
 bool batch_similar_phase(const util::ExecutionContext& ctx, const GroupFinder& finder,
                          const AuditOptions& options, const linalg::CsrMatrix& matrix,
                          PhaseTiming& timing, RoleGroups& out, FinderWorkStats& work,
@@ -316,9 +321,10 @@ class AuditEngine {
 
   /// Restores counters, the dirty frontier, and the pair caches captured by
   /// persistent_state(), on an engine freshly constructed from the matching
-  /// snapshot() dataset. Throws std::invalid_argument when the state does
-  /// not fit the current dataset (dirty flags or cached pair ids outside the
-  /// role range). For kApproxHnsw the similar caches are dropped and
+  /// snapshot() dataset, dropping norm-decided pairs (snapshot format 1 kept
+  /// them). Throws std::invalid_argument when the state does not fit the
+  /// current dataset (dirty flags or cached pair ids outside the role
+  /// range). For kApproxHnsw the similar caches are dropped and
   /// audited_once is reset instead: the maintained graph is approximate and
   /// history-dependent, so recovery re-runs the deterministic batch pass and
   /// yields exactly what a cold rebuild on the same data yields.
@@ -332,7 +338,7 @@ class AuditEngine {
   void set_time_budget(double seconds);
 
  private:
-  /// Cached full matched-pair set of one axis' similar phase (sorted,
+  /// Cached content-decided matched pairs of one axis' similar phase (sorted,
   /// unique, role-id space). Invalid after a timed-out/skipped phase or
   /// under a non-cacheable configuration.
   struct PairCache {
@@ -380,8 +386,9 @@ class AuditEngine {
                                               FinderWorkStats& work);
   /// Shared tail of the delta paths: merge the cached clean-clean pairs into
   /// the frontier forest, extract groups, fill the delta counters, and
-  /// replace (or invalidate) the pair cache.
-  [[nodiscard]] RoleGroups finish_delta(Axis& axis, methods::PairPipelineOutcome&& outcome,
+  /// replace (or invalidate) the pair cache from `matrix`'s norms.
+  [[nodiscard]] RoleGroups finish_delta(Axis& axis, const linalg::CsrMatrix& matrix,
+                                        methods::PairPipelineOutcome&& outcome,
                                         methods::MatchedPairs&& fresh, std::size_t dirty_count,
                                         const util::ExecutionContext& ctx,
                                         FinderWorkStats& work);

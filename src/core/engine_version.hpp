@@ -56,7 +56,7 @@ struct EnginePersistentState {
   struct AxisState {
     std::vector<std::uint8_t> dirty;  ///< per-role "mutated since last reaudit"
     bool similar_valid = false;       ///< pair cache usable for a delta pass
-    methods::MatchedPairs similar_pairs;  ///< sorted unique matched pairs
+    methods::MatchedPairs similar_pairs;  ///< sorted unique content-decided pairs
   };
   std::uint64_t version = 0;
   std::uint64_t audits = 0;

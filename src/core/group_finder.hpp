@@ -100,9 +100,12 @@ class GroupFinder {
   /// (DBSCAN, HNSW, MinHash). NOT honored by paths whose matched set is not
   /// the canonical pair set: the role-diet digest partition (find_same /
   /// threshold-0 delegation emits representative pairs only) and the Jaccard
-  /// ceiling star-union — those leave the sink untouched. Pass nullptr to
-  /// disarm. Like last_work(), this is unsynchronized mutable bookkeeping:
-  /// do not call find_* concurrently on one finder object.
+  /// ceiling star-union — those leave the sink untouched — and the
+  /// norm-decided star every Hamming finder but HNSW joins
+  /// (methods::SimilarVerdict::unite_norm_decided), whose pairs reach the
+  /// sink only when a finder also verified them. Pass nullptr to disarm.
+  /// Like last_work(), this is unsynchronized mutable bookkeeping: do not
+  /// call find_* concurrently on one finder object.
   void collect_matched_pairs(std::vector<std::pair<std::uint32_t, std::uint32_t>>* sink) const
       noexcept {
     pair_sink_ = sink;

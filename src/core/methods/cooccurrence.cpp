@@ -1,6 +1,5 @@
 #include "core/methods/cooccurrence.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -50,18 +49,23 @@ PairPipelineOutcome cooccurrence_sweep(const linalg::CsrMatrix& matrix, std::siz
       pred);
 }
 
-/// Stage 1 of the similar phases: every row's prefix-filter candidates j > i
+/// The similar phases: every row's prefix-filter candidates j > i
 /// (prefix_filter.hpp), scored in one batched intersection pass per row and
-/// verified by `verdict` in the shared pipeline. The rarity order comes from
-/// this matrix's own column degrees.
+/// verified by `verdict` in the shared pipeline, which reaches every match
+/// that shares a column. The rarity order comes from this matrix's own
+/// column degrees. Pairs sharing none match only when norms alone decide
+/// (Hamming): one star joins those, counted as verified matches, as the
+/// pair-by-pair sweep it replaced counted them. `matched_sink` is cleared
+/// first.
 PairPipelineOutcome prefix_sweep(const linalg::CsrMatrix& matrix, SimilarVerdict verdict,
                                  std::size_t threads, const util::ExecutionContext& ctx,
                                  MatchedPairs* matched_sink) {
+  if (matched_sink != nullptr) matched_sink->clear();
   const std::size_t n = matrix.rows();
   const std::vector<std::size_t> degrees = matrix.column_sums();
   const PrefixIndex index(matrix, degrees, verdict);
   const linalg::RowStore store(matrix);
-  return pair_pipeline(
+  PairPipelineOutcome outcome = pair_pipeline(
       n, n, threads, /*grain=*/256, ctx,  // over-decompose: later rows see fewer j > i pairs
       [&] {
         return [&store, candidates = PrefixCandidates(index)](std::size_t i,
@@ -73,6 +77,10 @@ PairPipelineOutcome prefix_sweep(const linalg::CsrMatrix& matrix, SimilarVerdict
         return verdict.accepts(matrix.row_size(i), matrix.row_size(j), g);
       },
       matched_sink);
+  const std::size_t norm_pairs = verdict.unite_norm_decided(matrix, outcome.forest);
+  outcome.pairs_evaluated += norm_pairs;
+  outcome.pairs_matched += norm_pairs;
+  return outcome;
 }
 
 }  // namespace
@@ -169,41 +177,11 @@ RoleGroups RoleDietGroupFinder::find_similar(const linalg::CsrMatrix& matrix,
                                              std::size_t max_hamming,
                                              const util::ExecutionContext& ctx) const {
   if (max_hamming == 0) return find_same(matrix, ctx);  // digest path: sink not honored
-
-  MatchedPairs* sink = pair_sink_;
-  if (sink != nullptr) sink->clear();
-
-  // Pairs sharing at least one column: hamming = |Ri| + |Rj| - 2g, and the
-  // prefix filter reaches every one within the threshold.
-  PairPipelineOutcome outcome =
-      prefix_sweep(matrix, SimilarVerdict::hamming(max_hamming), options_.threads, ctx, sink);
-
-  // Pairs sharing no column have hamming = |Ri| + |Rj|, which can still be
-  // within threshold when both norms are tiny (|Ri|, |Rj| >= 1, so only
-  // roles with |R| < max_hamming qualify). A norm-sorted sweep unites every
-  // such pair without computing any distance. Rare rows — stays sequential,
-  // feeding the same outcome forest and counters as the main sweep.
-  std::vector<std::pair<std::size_t, std::size_t>> tiny;  // (norm, row)
-  for (std::size_t r = 0; r < matrix.rows(); ++r) {
-    const std::size_t norm = matrix.row_size(r);
-    if (norm >= 1 && norm < max_hamming) tiny.emplace_back(norm, r);
-  }
-  std::sort(tiny.begin(), tiny.end());
-  for (std::size_t a = 0; a < tiny.size(); ++a) {
-    if (ctx.expired()) break;
-    for (std::size_t b = a + 1; b < tiny.size(); ++b) {
-      if (tiny[a].first + tiny[b].first > max_hamming) break;  // norms ascending
-      ++outcome.pairs_evaluated;
-      ++outcome.pairs_matched;
-      outcome.forest.unite(tiny[a].second, tiny[b].second);
-      if (sink != nullptr) push_matched_pair(*sink, tiny[a].second, tiny[b].second);
-    }
-  }
-
-  // Empty rows are excluded by definition; they never co-occur and have norm
-  // 0 < 1, so they are never united — groups() with min_size = 2 cannot
-  // contain them.
-  return finalize_pipeline(std::move(outcome), matrix.rows(), work_);
+  // hamming = |Ri| + |Rj| - 2g. Empty rows are never united: groups() with
+  // min_size = 2 cannot hold them.
+  return finalize_pipeline(prefix_sweep(matrix, SimilarVerdict::hamming(max_hamming),
+                                        options_.threads, ctx, pair_sink_),
+                           matrix.rows(), work_);
 }
 
 RoleGroups RoleDietGroupFinder::find_similar_jaccard(const linalg::CsrMatrix& matrix,
@@ -233,16 +211,13 @@ RoleGroups RoleDietGroupFinder::find_similar_jaccard(const linalg::CsrMatrix& ma
     return finalize_pipeline(std::move(outcome), matrix.rows(), work_);
   }
 
-  MatchedPairs* sink = pair_sink_;
-  if (sink != nullptr) sink->clear();
-
   // Below the ceiling a qualifying pair needs g >= 1, i.e. at least one
   // shared column — so the prefix filter reaches every one. The scaled
   // distance uses the same integer formula as the dense kernel, so the
   // exact methods stay bit-identical.
-  PairPipelineOutcome outcome =
-      prefix_sweep(matrix, SimilarVerdict::jaccard(max_scaled), options_.threads, ctx, sink);
-  return finalize_pipeline(std::move(outcome), matrix.rows(), work_);
+  return finalize_pipeline(prefix_sweep(matrix, SimilarVerdict::jaccard(max_scaled),
+                                        options_.threads, ctx, pair_sink_),
+                           matrix.rows(), work_);
 }
 
 }  // namespace rolediet::core::methods

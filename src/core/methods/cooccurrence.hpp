@@ -26,10 +26,10 @@
 //    rarest users meet i's and that pass the length filter ||Ri| - |Rj|| <=
 //    t are scored (one batched intersection pass per role), then pairs with
 //    |Ri| + |Rj| - 2 g <= t unite. Every pair within t that shares a user is
-//    among them. Pairs sharing *no* user have hamming = |Ri| + |Rj|; a
-//    norm-sorted sweep over the (rare) roles with |R| < t unites those too,
-//    so the result is exact: identical groups to DBSCAN on every input,
-//    deterministic, no recall loss.
+//    among them. Pairs sharing *no* user have hamming = |Ri| + |Rj|; one
+//    norm-decided star (prefix_filter.hpp) joins those too, so the result
+//    is exact: identical groups to DBSCAN on every input, deterministic, no
+//    recall loss.
 //
 // Parallelism (Options::threads, convention in util/thread_pool.hpp): the
 // same-set hashing and every candidate sweep split the row range across

@@ -5,6 +5,7 @@
 
 #include "cluster/metric.hpp"
 #include "core/methods/method_common.hpp"
+#include "core/methods/prefix_filter.hpp"
 
 namespace rolediet::core::methods {
 
@@ -25,6 +26,12 @@ RoleGroups DbscanGroupFinder::run(const linalg::CsrMatrix& matrix, std::size_t e
   // "distance <= eps" graph — which is what the union stage computes.
   // cluster::dbscan (the full core/border/noise machinery) remains the
   // reference implementation; dbscan_test pins this finder against it.
+  // Under Hamming, the pairs norms alone decide are left to one star after
+  // the region queries, so no sink holds them.
+  const SimilarVerdict verdict = metric == cluster::MetricKind::kHamming
+                                     ? SimilarVerdict::hamming(eps)
+                                     : SimilarVerdict::jaccard(eps);
+  const auto norm = [&](std::size_t i) { return matrix.row_size(selected[i]); };
   MatchedPairs collected;
   PairPipelineOutcome outcome = pair_pipeline(
       n, n, options_.threads, /*grain=*/64, ctx,
@@ -47,8 +54,11 @@ RoleGroups DbscanGroupFinder::run(const linalg::CsrMatrix& matrix, std::size_t e
           }
         };
       },
-      [eps](std::size_t i, std::size_t j, std::size_t d) { return i != j && d <= eps; },
+      [&](std::size_t i, std::size_t j, std::size_t d) {
+        return i != j && d <= eps && !verdict.norm_decided(norm(i), norm(j));
+      },
       pair_sink_ != nullptr ? &collected : nullptr);
+  (void)verdict.unite_norm_decided(n, norm, outcome.forest);
 
   if (pair_sink_ != nullptr) {
     // The pipeline ran over positions in `selected`; the sink contract is

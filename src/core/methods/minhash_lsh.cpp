@@ -5,16 +5,14 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/metric.hpp"
 #include "core/methods/method_common.hpp"
 #include "linalg/convert.hpp"
 
 namespace rolediet::core::methods {
 
-template <typename KeepPair>
-PairPipelineOutcome MinHashGroupFinder::verified_candidates(const linalg::CsrMatrix& matrix,
-                                                            const util::ExecutionContext& ctx,
-                                                            KeepPair&& keep) const {
+RoleGroups MinHashGroupFinder::verified_groups(const linalg::CsrMatrix& matrix,
+                                               const util::ExecutionContext& ctx,
+                                               SimilarVerdict verdict) const {
   const linalg::RowBackend backend =
       linalg::choose_backend(options_.backend, matrix.rows(), matrix.cols(), matrix.nnz());
   linalg::BitMatrix densified;
@@ -32,7 +30,7 @@ PairPipelineOutcome MinHashGroupFinder::verified_candidates(const linalg::CsrMat
   // sees the exact intersection size, so there are no false merges.
   if (pair_sink_ != nullptr) pair_sink_->clear();
   const std::size_t num_blocks = (pairs.size() + kVerifyBlock - 1) / kVerifyBlock;
-  return pair_pipeline(
+  PairPipelineOutcome outcome = pair_pipeline(
       num_blocks, matrix.rows(), options_.lsh.threads, /*grain=*/2, ctx,
       [&] {
         return [&pairs, &store, g = std::vector<std::size_t>(kVerifyBlock)](
@@ -46,58 +44,35 @@ PairPipelineOutcome MinHashGroupFinder::verified_candidates(const linalg::CsrMat
           }
         };
       },
-      keep, pair_sink_);
+      [&](std::size_t a, std::size_t b, std::size_t g) {
+        return verdict.accepts(matrix.row_size(a), matrix.row_size(b), g);
+      },
+      pair_sink_);
+  // Pairs with no shared element share no min-hash; under Hamming those
+  // that norms alone decide join through one star, counted as verified
+  // matches, as the pair-by-pair sweep it replaced counted them.
+  const std::size_t norm_pairs = verdict.unite_norm_decided(matrix, outcome.forest);
+  outcome.pairs_evaluated += norm_pairs;
+  outcome.pairs_matched += norm_pairs;
+  return finalize_pipeline(std::move(outcome), matrix.rows(), work_);
 }
 
 RoleGroups MinHashGroupFinder::find_same(const linalg::CsrMatrix& matrix,
                                          const util::ExecutionContext& ctx) const {
-  PairPipelineOutcome outcome =
-      verified_candidates(matrix, ctx, [&](std::size_t a, std::size_t b, std::size_t g) {
-        return matrix.row_size(a) == g && matrix.row_size(b) == g;  // the paper's indicator
-      });
-  return finalize_pipeline(std::move(outcome), matrix.rows(), work_);
+  // The paper's indicator |Ri| = g = |Rj| is Hamming distance 0.
+  return verified_groups(matrix, ctx, SimilarVerdict::hamming(0));
 }
 
 RoleGroups MinHashGroupFinder::find_similar(const linalg::CsrMatrix& matrix,
                                             std::size_t max_hamming,
                                             const util::ExecutionContext& ctx) const {
-  PairPipelineOutcome outcome =
-      verified_candidates(matrix, ctx, [&](std::size_t a, std::size_t b, std::size_t g) {
-        return matrix.row_size(a) + matrix.row_size(b) - 2 * g <= max_hamming;
-      });
-  if (max_hamming > 0) {
-    // Disjoint tiny pairs are invisible to LSH (no shared element -> no
-    // shared min-hash); the norm-sorted sweep covers them exactly, feeding
-    // the same outcome forest and counters as the banded candidates.
-    std::vector<std::pair<std::size_t, std::size_t>> tiny;  // (norm, row)
-    for (std::size_t r = 0; r < matrix.rows(); ++r) {
-      const std::size_t norm = matrix.row_size(r);
-      if (norm >= 1 && norm < max_hamming) tiny.emplace_back(norm, r);
-    }
-    std::sort(tiny.begin(), tiny.end());
-    for (std::size_t a = 0; a < tiny.size(); ++a) {
-      if (ctx.expired()) break;
-      for (std::size_t b = a + 1; b < tiny.size(); ++b) {
-        if (tiny[a].first + tiny[b].first > max_hamming) break;
-        ++outcome.pairs_evaluated;
-        outcome.forest.unite(tiny[a].second, tiny[b].second);
-        ++outcome.pairs_matched;
-        if (pair_sink_ != nullptr) push_matched_pair(*pair_sink_, tiny[a].second, tiny[b].second);
-      }
-    }
-  }
-  return finalize_pipeline(std::move(outcome), matrix.rows(), work_);
+  return verified_groups(matrix, ctx, SimilarVerdict::hamming(max_hamming));
 }
 
 RoleGroups MinHashGroupFinder::find_similar_jaccard(const linalg::CsrMatrix& matrix,
                                                     std::size_t max_scaled,
                                                     const util::ExecutionContext& ctx) const {
-  PairPipelineOutcome outcome =
-      verified_candidates(matrix, ctx, [&](std::size_t a, std::size_t b, std::size_t g) {
-        return cluster::jaccard_scaled_from_counts(matrix.row_size(a), matrix.row_size(b), g) <=
-               max_scaled;
-      });
-  return finalize_pipeline(std::move(outcome), matrix.rows(), work_);
+  return verified_groups(matrix, ctx, SimilarVerdict::jaccard(max_scaled));
 }
 
 }  // namespace rolediet::core::methods

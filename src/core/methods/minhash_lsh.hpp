@@ -8,8 +8,8 @@
 //    signatures, so duplicates always share every band bucket; candidates
 //    are verified exactly (precision 1);
 //  - find_similar(t): candidate pairs from LSH banding are verified with the
-//    exact Hamming identity; disjoint tiny pairs (|Ri| + |Rj| <= t) come
-//    from the same norm-sorted pass the role-diet method uses (LSH cannot
+//    exact Hamming identity; pairs that norms alone decide (|Ri| + |Rj| <=
+//    t) join through the same star the role-diet method uses (LSH cannot
 //    see sets with zero overlap). Low-Jaccard pairs within the threshold
 //    may be missed — the classic LSH recall trade-off;
 //  - find_similar_jaccard: the home game — the banding threshold
@@ -20,6 +20,7 @@
 #include "cluster/minhash.hpp"
 #include "core/group_finder.hpp"
 #include "core/methods/method_common.hpp"
+#include "core/methods/prefix_filter.hpp"
 
 namespace rolediet::core::methods {
 
@@ -54,11 +55,11 @@ class MinHashGroupFinder final : public GroupFinder {
                                                 const util::ExecutionContext& ctx) const override;
 
  private:
-  /// Stages 1-2: LSH banding candidates, exactly verified with `keep`.
-  template <typename KeepPair>
-  [[nodiscard]] PairPipelineOutcome verified_candidates(const linalg::CsrMatrix& matrix,
-                                                        const util::ExecutionContext& ctx,
-                                                        KeepPair&& keep) const;
+  /// LSH banding candidates, exactly verified by `verdict`, and the pairs
+  /// norms alone decide (prefix_filter.hpp), grouped.
+  [[nodiscard]] RoleGroups verified_groups(const linalg::CsrMatrix& matrix,
+                                           const util::ExecutionContext& ctx,
+                                           SimilarVerdict verdict) const;
 
   Options options_{};
   /// Counters of the latest find_* call (see GroupFinder::last_work).

@@ -16,9 +16,9 @@
 //   and z lies in both rows' prefixes.
 //
 // Pairs with x ∩ y = ∅ are outside the filter's reach; under Hamming they
-// match exactly when |x| + |y| <= t (norms alone decide), and the callers
-// keep their tiny-row sweeps for them. Jaccard below its ceiling never
-// matches a disjoint pair.
+// match exactly when |x| + |y| <= t (norms alone decide), and
+// SimilarVerdict::unite_norm_decided joins every such pair as one star.
+// Jaccard below its ceiling never matches a disjoint pair.
 //
 // The order is (column degree, column id): rarest first. Any fixed order is
 // exact; rarity keeps hub columns — granted to most roles — out of almost
@@ -34,6 +34,7 @@
 #include <span>
 #include <vector>
 
+#include "cluster/union_find.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "linalg/row_store.hpp"
 
@@ -67,6 +68,51 @@ class SimilarVerdict {
   /// search over the integer formula itself, so no floating-point bound
   /// enters.
   [[nodiscard]] std::size_t prefix_length(std::size_t n) const noexcept;
+
+  /// Norms alone decide the pair: under Hamming, non-empty rows with
+  /// na + nb <= t match whatever they share (d = na + nb - 2g). Every other
+  /// match is content-decided (g >= 1). Never under Jaccard.
+  [[nodiscard]] bool norm_decided(std::size_t na, std::size_t nb) const noexcept {
+    return !jaccard_ && na + nb <= threshold_;
+  }
+
+  /// Joins every norm-decided pair of rows [0, rows) in `forest`. The norm
+  /// relation is a threshold graph: with m the smallest non-zero norm, every
+  /// such pair lies in S = {rows with 1 <= norm(r) <= t - m}, and every row of
+  /// S matches the first row of norm m, so one star around it gives the
+  /// components in O(rows). Returns the number of norm-decided pairs, counted
+  /// from S's sorted norms; 0 at once under Jaccard or for t < 2.
+  template <typename Norm>
+  std::size_t unite_norm_decided(std::size_t rows, Norm&& norm, cluster::UnionFind& forest) const {
+    if (jaccard_ || threshold_ < 2) return 0;
+    std::size_t m = 0;  // the smallest non-zero norm, first held by row `center`
+    std::size_t center = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t n = norm(r);
+      if (n > 0 && (m == 0 || n < m)) {
+        m = n;
+        center = r;
+      }
+    }
+    if (m == 0 || m > threshold_) return 0;  // t - m is formed only when m <= t
+    std::vector<std::size_t> norms;          // S's
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t n = norm(r);
+      if (n == 0 || n > threshold_ - m) continue;
+      norms.push_back(n);
+      if (r != center) forest.unite(center, r);
+    }
+    std::sort(norms.begin(), norms.end());
+    std::size_t pairs = 0;  // per norm, the later norms that fit beside it
+    for (auto it = norms.begin(); it != norms.end(); ++it) {
+      pairs += std::upper_bound(it + 1, norms.end(), threshold_ - *it) - (it + 1);
+    }
+    return pairs;
+  }
+
+  std::size_t unite_norm_decided(const linalg::CsrMatrix& m, cluster::UnionFind& forest) const {
+    return unite_norm_decided(m.rows(), [&m](std::size_t r) { return m.row_size(r); }, forest);
+  }
 
  private:
   SimilarVerdict(bool jaccard, std::size_t threshold) noexcept
@@ -150,12 +196,9 @@ class PrefixCandidates {
       : index_(&index), seen_(index.rows(), 0) {}
 
   /// Rows j != i that share a prefix column with row i, pass `accept(j)` and
-  /// the length filter — each once. Rows in `extra` (norm-decided partners
-  /// the filter cannot see) join under the same rules. The span is valid
-  /// until the next call.
+  /// the length filter — each once. The span is valid until the next call.
   template <typename Accept>
-  std::span<const std::uint32_t> collect(std::size_t i, Accept&& accept,
-                                         std::span<const std::uint32_t> extra = {}) {
+  std::span<const std::uint32_t> collect(std::size_t i, Accept&& accept) {
     cand_.clear();
     const std::size_t ni = index_->norm(i);
     if (ni == 0) return cand_;
@@ -163,27 +206,24 @@ class PrefixCandidates {
       std::fill(seen_.begin(), seen_.end(), 0);
       stamp_ = 1;
     }
-    const auto consider = [&](std::uint32_t j) {
-      if (j == i || seen_[j] == stamp_) return;
-      seen_[j] = stamp_;
-      if (accept(static_cast<std::size_t>(j)) &&
-          index_->verdict().lengths_compatible(ni, index_->norm(j))) {
-        cand_.push_back(j);
-      }
-    };
     for (const std::uint32_t c : index_->prefix(i)) {
-      for (const std::uint32_t j : index_->postings(c)) consider(j);
+      for (const std::uint32_t j : index_->postings(c)) {
+        if (j == i || seen_[j] == stamp_) continue;
+        seen_[j] = stamp_;
+        if (accept(static_cast<std::size_t>(j)) &&
+            index_->verdict().lengths_compatible(ni, index_->norm(j))) {
+          cand_.push_back(j);
+        }
+      }
     }
-    for (const std::uint32_t j : extra) consider(j);
     return cand_;
   }
 
   /// collect(), then one batched intersection pass over `store` (rows
   /// indexed like the PrefixIndex), then emit(i, j, g) per candidate.
   template <typename Accept, typename Emit>
-  void score(std::size_t i, const linalg::RowStore& store, Accept&& accept, Emit&& emit,
-             std::span<const std::uint32_t> extra = {}) {
-    const std::span<const std::uint32_t> cand = collect(i, accept, extra);
+  void score(std::size_t i, const linalg::RowStore& store, Accept&& accept, Emit&& emit) {
+    const std::span<const std::uint32_t> cand = collect(i, accept);
     g_.resize(cand.size());
     store.intersection_gather(i, cand, g_.data());
     for (std::size_t k = 0; k < cand.size(); ++k) emit(i, static_cast<std::size_t>(cand[k]), g_[k]);

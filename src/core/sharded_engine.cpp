@@ -216,8 +216,7 @@ RoleGroups ShardedEngine::sharded_similar(AxisKind axis, std::size_t threshold, 
   const std::size_t axis_cols =
       axis == AxisKind::kUsers ? state_.num_users() : state_.num_permissions();
   const auto norm = [&](Id gid) { return row(axis, gid).size(); };
-  const methods::SimilarVerdict verdict = jaccard ? methods::SimilarVerdict::jaccard(threshold)
-                                                  : methods::SimilarVerdict::hamming(threshold);
+  const methods::SimilarVerdict verdict = similar_verdict(options_);
   cluster::UnionFind forest(num_roles);
   std::size_t rows_processed = 0;
   std::size_t pairs_evaluated = 0;
@@ -369,27 +368,13 @@ RoleGroups ShardedEngine::sharded_similar(AxisKind axis, std::size_t threshold, 
     }
   }
 
-  // ---- stage 4: tiny-row norm sweep ---------------------------------------
-  // Hamming only: every pair whose norms sum to <= threshold is within
-  // distance regardless of overlap, and the batch finders unite all of them
-  // (including zero-intersection pairs the column exchange cannot see). The
-  // sweep is global, so cross-shard tiny pairs are covered too.
-  if (!jaccard && threshold > 0 && !ctx.expired()) {
-    std::vector<std::pair<std::size_t, Id>> tiny;
-    for (Id gid = 0; gid < num_roles; ++gid) {
-      if (norm(gid) >= 1 && norm(gid) < threshold) tiny.emplace_back(norm(gid), gid);
-    }
-    std::sort(tiny.begin(), tiny.end());
-    for (std::size_t a = 0; a < tiny.size(); ++a) {
-      for (std::size_t b = a + 1; b < tiny.size(); ++b) {
-        if (tiny[a].first + tiny[b].first > threshold) break;
-        ++pairs_evaluated;
-        ++pairs_matched;
-        ++stats.tiny_pairs;
-        forest.unite(tiny[a].second, tiny[b].second);
-      }
-    }
-  }
+  // ---- stage 4: the norm-decided star --------------------------------------
+  // Hamming only: pairs whose norms sum to <= threshold match whatever they
+  // share, including those the column exchange cannot see. The star is
+  // global, so it joins cross-shard pairs too, counted as matches.
+  stats.tiny_pairs = verdict.unite_norm_decided(num_roles, norm, forest);
+  pairs_evaluated += stats.tiny_pairs;
+  pairs_matched += stats.tiny_pairs;
 
   RoleGroups out;
   out.groups = forest.groups(2);

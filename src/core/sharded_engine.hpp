@@ -18,7 +18,7 @@
 //    cross-shard candidate exchange where only compact signatures travel —
 //    MinHash band digests for kApproxMinhash, each row's prefix-filter
 //    tokens (core/methods/prefix_filter.hpp) for the exact methods, plus the
-//    tiny-row norm sweep — and exact-verifies the
+//    global norm-decided star — and exact-verifies the
 //    gathered candidate row pairs through the existing batch kernels before
 //    uniting them in a global union-find.
 //
@@ -31,9 +31,9 @@
 // comparing. Soundness argument for the candidate exchange, per method:
 // every cross-shard matched pair either shares a column — then a column of
 // both rows' prefixes, caught by the prefix-token exchange (MinHash: its band
-// collisions) — or has norm sum <= threshold (caught by the global tiny
-// sweep); only exactly-verified pairs are ever united, so no false positives
-// can appear either.
+// collisions) — or has norm sum <= threshold (joined by the global
+// norm-decided star); only exactly-verified or norm-decided pairs are ever
+// united, so no false positives can appear either.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +65,7 @@ struct ShardSimilarStats {
   std::uint64_t cross_candidates = 0;
   /// Cross-shard candidates that passed the exact predicate.
   std::uint64_t cross_matched = 0;
-  /// Tiny-row pairs united by the global norm sweep.
+  /// Norm-decided pairs the global star joins (closed-form count).
   std::uint64_t tiny_pairs = 0;
 };
 

@@ -23,8 +23,9 @@ inline constexpr std::string_view kBuildType = "debug";
 #endif
 
 /// On-disk format revision of engine snapshots (store/snapshot.hpp). Bump on
-/// any layout change; readers reject snapshots from a different revision.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// a change of layout or of meaning: 2 has 1's layout, but its pair caches
+/// omit norm-decided pairs, which a reader of 1 would take as complete.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /// On-disk format revision of WAL segments (store/wal.hpp).
 inline constexpr std::uint32_t kWalFormatVersion = 1;

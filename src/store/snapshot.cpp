@@ -134,9 +134,9 @@ EngineSnapshot SnapshotReader::read() const {
   if (std::memcmp(magic.data(), kSnapMagic.data(), kSnapMagic.size()) != 0)
     throw SnapshotError("snapshot: bad magic in " + file_.string());
   const std::uint32_t format = r.u32();
-  if (format != core::kSnapshotFormatVersion) {
+  if (format == 0 || format > core::kSnapshotFormatVersion) {
     throw SnapshotError("snapshot: " + file_.string() + " has format version " +
-                        std::to_string(format) + "; this build reads version " +
+                        std::to_string(format) + "; this build reads versions 1 to " +
                         std::to_string(core::kSnapshotFormatVersion));
   }
 

@@ -19,6 +19,9 @@
 //           and when valid a u64-prefixed (u32, u32) matched-pair list
 //   u64     FNV-1a digest
 //
+// Format 1 (still read) also cached the pairs norms alone decide; the
+// engine drops them on restore.
+//
 // Snapshot files are named snap-<N>.rdsnap (N zero-padded to 20 digits, so
 // lexicographic order == WAL order) and written atomically: the bytes go to
 // a .tmp file which is fsynced and then renamed over the final name. A crash

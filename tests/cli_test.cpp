@@ -450,10 +450,45 @@ TEST(Cli, CompareRunsAllMethods) {
   EXPECT_NE(r.out.find("role-diet"), std::string::npos);
   EXPECT_NE(r.out.find("exact-dbscan"), std::string::npos);
   EXPECT_NE(r.out.find("approx-hnsw"), std::string::npos);
+  EXPECT_NE(r.out.find("approx-minhash"), std::string::npos);
 
   const CliResult similar = run_cli({"compare", "--threshold", "1", dir.path("data")});
   ASSERT_EQ(similar.code, 0) << similar.err;
   EXPECT_NE(similar.out.find("similar, t=1"), std::string::npos);
+}
+
+// Every thread-count flag is bounded while the arguments are parsed. Each
+// command names a dataset or store that does not exist, so none of them
+// reaches a point that would start a thread, whatever the flag's value.
+TEST(Cli, ThreadCountsAboveTheBoundAreUsageErrors) {
+  CliDir dir;
+  const std::string none = dir.path("no-such-dir");
+  const std::string store = dir.path("store");
+  for (const std::string value : {"257", "18446744073709551615"}) {
+    const std::vector<std::vector<std::string>> commands = {
+        {"audit", "--threads", value, none},
+        {"replay", "--threads", value, none, dir.path("no-journal.csv")},
+        {"checkpoint", "--threads", value, none, store},
+        {"recover", "--threads", value, none},
+        {"serve", "--threads", value, none, store},
+        {"churn", "--threads", value, "--years", "0", store},
+        {"mine", "--threads", value, none},
+        {"compare", "--threads", value, none},
+        {"serve", "--readers", value, none, store},
+    };
+    for (const std::vector<std::string>& command : commands) {
+      const std::string flag = command[1];
+      const CliResult r = run_cli(command);
+      EXPECT_EQ(r.code, 2) << command[0] << " " << flag << " " << value << ": " << r.err;
+      EXPECT_NE(r.err.find(flag + " must be <= 256"), std::string::npos)
+          << command[0] << " " << flag << " " << value << ": " << r.err;
+    }
+    EXPECT_FALSE(fs::exists(store));
+  }
+  // The bound itself parses: the audit gets as far as the missing dataset.
+  const CliResult at_bound = run_cli({"audit", "--threads", "256", none});
+  EXPECT_EQ(at_bound.code, 1) << at_bound.err;
+  EXPECT_NE(at_bound.err.find("does not exist"), std::string::npos) << at_bound.err;
 }
 
 TEST(Cli, ConvertCsvToBinaryAndBack) {

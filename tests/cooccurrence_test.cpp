@@ -1,8 +1,8 @@
 // Tests specific to the paper's custom algorithm: the two find_same
 // strategies, the co-occurrence arithmetic, the tiny-norm corner cases of the
-// similar-role sweep, and the prefix filter that generates its candidates —
-// pinned at pair level, because groups hide a missing pair whenever
-// transitivity reconnects it.
+// similar-role sweep, the norm-decided star, and the prefix filter that
+// generates its candidates — pinned at pair level, because groups hide a
+// missing pair whenever transitivity reconnects it.
 //
 // Threaded cases end in T8 so the sanitizer jobs can select them.
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "cluster/metric.hpp"
+#include "cluster/union_find.hpp"
 #include "core/methods/cooccurrence.hpp"
 #include "core/methods/method_common.hpp"
 #include "core/methods/prefix_filter.hpp"
@@ -194,9 +195,75 @@ TEST(PrefixFilter, PrefixesTakeTheRarestColumnsAndPostingsInvertThem) {
   PrefixCandidates candidates(index);
   const auto all = [](std::size_t) { return true; };
   EXPECT_EQ(sorted(candidates.collect(0, all)), (std::vector<std::uint32_t>{1}));
-  // The length filter drops an extra partner whose norm is too far off.
-  const std::vector<std::uint32_t> extra{3, 2};
-  EXPECT_EQ(sorted(candidates.collect(0, all, extra)), (std::vector<std::uint32_t>{1, 2}));
+}
+
+// ---- the norm-decided star -----------------------------------------------
+
+/// unite_norm_decided over `norms` at Hamming threshold t against a
+/// brute-force enumeration of every pair of non-empty rows with
+/// norms summing within t: the same components and the same count.
+void expect_star_equals_brute_force(const std::vector<std::size_t>& norms, std::size_t t,
+                                    const std::string& where) {
+  cluster::UnionFind star(norms.size());
+  const std::size_t count = SimilarVerdict::hamming(t).unite_norm_decided(
+      norms.size(), [&norms](std::size_t r) { return norms[r]; }, star);
+  cluster::UnionFind brute(norms.size());
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < norms.size(); ++i) {
+    for (std::size_t j = i + 1; j < norms.size(); ++j) {
+      if (norms[i] > 0 && norms[j] > 0 && norms[i] + norms[j] <= t) {
+        ++pairs;
+        brute.unite(i, j);
+      }
+    }
+  }
+  EXPECT_EQ(count, pairs) << where;
+  EXPECT_EQ(star.groups(2), brute.groups(2)) << where;
+}
+
+TEST(NormDecidedStar, ComponentsAndCountEqualBruteForce) {
+  util::Xoshiro256 rng(0x57A2);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<std::size_t> norms(rng.bounded(40));
+    const std::size_t zeros = rng.bounded(4);  // 0 = no empty row
+    for (std::size_t& n : norms) {
+      n = zeros != 0 && rng.bounded(zeros + 2) == 0 ? 0 : 1 + rng.bounded(7);
+    }
+    const std::size_t t = rng.bounded(14);
+    expect_star_equals_brute_force(norms, t, "trial " + std::to_string(trial));
+  }
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  // The largest threshold: every non-empty pair, t - m formed without wrap.
+  expect_star_equals_brute_force({0, 3, 1, 5, 0, 2, 9}, kMax, "t = 2^64 - 1");
+  expect_star_equals_brute_force({kMax - 1, 1, 0}, kMax, "t = 2^64 - 1, m = 1");
+  // t < m: no row fits, and t - m is never formed.
+  expect_star_equals_brute_force({3, 4, 5}, 2, "t < m");
+  // m <= t but 2m > t: S is empty.
+  expect_star_equals_brute_force({3, 4, 5}, 5, "2m > t");
+  // |S| = 1: the centre alone, no pair.
+  expect_star_equals_brute_force({1, 3, 4}, 3, "|S| = 1");
+  // No non-empty row, and no row at all.
+  expect_star_equals_brute_force({0, 0, 0}, 4, "all empty");
+  expect_star_equals_brute_force({}, 4, "no rows");
+  // t < 2 returns at once: two non-empty rows sum to at least 2.
+  expect_star_equals_brute_force({1, 1, 2}, 0, "t = 0");
+  expect_star_equals_brute_force({1, 1, 2}, 1, "t = 1");
+}
+
+TEST(NormDecidedStar, MatrixRowsAndJaccardVerdict) {
+  // Rows 0 and 2 (norm 1) match on norms at t = 2; row 3 (norm 3) does not,
+  // and the empty row 1 never joins.
+  const auto m = csr_from_rows(5, {{1}, {}, {2}, {1, 2, 3}});
+  cluster::UnionFind forest(m.rows());
+  EXPECT_EQ(SimilarVerdict::hamming(2).unite_norm_decided(m, forest), 1u);
+  EXPECT_EQ(forest.groups(2), (std::vector<std::vector<std::size_t>>{{0, 2}}));
+  EXPECT_TRUE(SimilarVerdict::hamming(2).norm_decided(1, 1));
+  EXPECT_FALSE(SimilarVerdict::hamming(2).norm_decided(1, 2));
+  // Jaccard decides no pair by norms.
+  cluster::UnionFind untouched(m.rows());
+  EXPECT_EQ(SimilarVerdict::jaccard(cluster::kJaccardScale).unite_norm_decided(m, untouched), 0u);
+  EXPECT_TRUE(untouched.groups(2).empty());
+  EXPECT_FALSE(SimilarVerdict::jaccard(cluster::kJaccardScale).norm_decided(1, 1));
 }
 
 /// Seeded matrix with the shapes that stress the filter: hub columns in
@@ -251,6 +318,40 @@ MatchedPairs sorted_unique(MatchedPairs pairs) {
   return pairs;
 }
 
+/// The pairs of `pairs` that norms alone do not decide under `verdict`.
+MatchedPairs content_decided(MatchedPairs pairs, const linalg::CsrMatrix& m,
+                             const SimilarVerdict& verdict) {
+  std::erase_if(pairs, [&](const std::pair<std::uint32_t, std::uint32_t>& p) {
+    return verdict.norm_decided(m.row_size(p.first), m.row_size(p.second));
+  });
+  return pairs;
+}
+
+/// The connected components of `pairs` over m's rows, as canonical groups.
+RoleGroups components(const linalg::CsrMatrix& m, const MatchedPairs& pairs) {
+  cluster::UnionFind forest(m.rows());
+  for (const auto& [a, b] : pairs) forest.unite(a, b);
+  RoleGroups out;
+  out.groups = forest.groups(2);
+  out.normalize();
+  return out;
+}
+
+/// The Hamming sink contract (group_finder.hpp): the norm-decided pairs are
+/// joined by a star, not sunk, so the sink's content-decided pairs are the
+/// brute force's, the sink holds no pair the brute force lacks, and the
+/// groups are the brute-force components.
+void expect_hamming_sink_contract(const MatchedPairs& sink, const RoleGroups& groups,
+                                  const linalg::CsrMatrix& m, std::size_t t,
+                                  const std::string& where) {
+  const SimilarVerdict verdict = SimilarVerdict::hamming(t);
+  const MatchedPairs expected = brute_force_pairs(m, verdict);
+  const MatchedPairs got = sorted_unique(sink);
+  EXPECT_EQ(content_decided(got, m, verdict), content_decided(expected, m, verdict)) << where;
+  EXPECT_TRUE(std::includes(expected.begin(), expected.end(), got.begin(), got.end())) << where;
+  EXPECT_EQ(groups, components(m, expected)) << where;
+}
+
 class PrefixFilterOracle : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PrefixFilterOracle, HammingMatchedPairsEqualBruteForce) {
@@ -260,27 +361,28 @@ TEST_P(PrefixFilterOracle, HammingMatchedPairsEqualBruteForce) {
     for (std::size_t t : {1u, 2u, 3u, 6u}) {
       MatchedPairs sink;
       finder.collect_matched_pairs(&sink);
-      (void)finder.find_similar(m, t);
+      const RoleGroups groups = finder.find_similar(m, t);
       finder.collect_matched_pairs(nullptr);
-      EXPECT_EQ(sorted_unique(sink), brute_force_pairs(m, SimilarVerdict::hamming(t)))
-          << "seed " << seed << ", t=" << t;
+      expect_hamming_sink_contract(sink, groups, m, t,
+                                   "seed " + std::to_string(seed) + ", t=" + std::to_string(t));
     }
   }
 }
 
 TEST_P(PrefixFilterOracle, LargestHammingThresholdMatchesEveryNonEmptyPair) {
   // Every prefix is the whole row and every non-empty pair matches, through
-  // the prefix sweep or the tiny-row sweep.
+  // the prefix sweep or the norm-decided star.
   const RoleDietGroupFinder finder({.threads = GetParam()});
-  const SimilarVerdict verdict = SimilarVerdict::hamming(std::numeric_limits<std::size_t>::max());
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const SimilarVerdict verdict = SimilarVerdict::hamming(kMax);
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const linalg::CsrMatrix m = filter_workload(seed);
     MatchedPairs sink;
     finder.collect_matched_pairs(&sink);
-    const RoleGroups groups = finder.find_similar(m, std::numeric_limits<std::size_t>::max());
+    const RoleGroups groups = finder.find_similar(m, kMax);
     finder.collect_matched_pairs(nullptr);
     const MatchedPairs expected = brute_force_pairs(m, verdict);
-    EXPECT_EQ(sorted_unique(sink), expected) << "seed " << seed;
+    expect_hamming_sink_contract(sink, groups, m, kMax, "seed " + std::to_string(seed));
     std::size_t nonempty = 0;
     for (std::size_t r = 0; r < m.rows(); ++r) nonempty += m.row_size(r) > 0;
     EXPECT_EQ(expected.size(), nonempty * (nonempty - 1) / 2) << "seed " << seed;

@@ -10,8 +10,10 @@
 // canonical rendering zeroes them along with wall-clock timings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -25,6 +27,7 @@
 #include "fig3_workload.hpp"
 #include "io/csv.hpp"
 #include "io/journal.hpp"
+#include "test_helpers.hpp"
 #include "util/prng.hpp"
 
 namespace rolediet {
@@ -233,6 +236,178 @@ INSTANTIATE_TEST_SUITE_P(Threads, EnginePairCache, ::testing::Values(1u, 8u),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
                            return "T" + std::to_string(info.param);
                          });
+
+// ---- the norm-decided star and the pair-cache contract ----------------------
+// At a Hamming threshold t >= 2 every two roles whose norms sum within t
+// match on norms alone. No pair cache holds those pairs: every reaudit joins
+// them as one star from the current norms. The batches move the star: a new
+// row of the smallest norm m, rows grown out of S, a row emptied, m raised,
+// then lowered again. Case names end in T1/T8 for the sanitizer jobs.
+
+/// One axis of `d`: each role's sorted users (or permissions).
+std::vector<std::vector<core::Id>> axis_rows(const core::RbacDataset& d, bool users) {
+  std::vector<std::vector<core::Id>> rows(d.num_roles());
+  for (core::Id r = 0; r < d.num_roles(); ++r) {
+    const auto row = users ? d.users_of_role(r) : d.permissions_of_role(r);
+    rows[r].assign(row.begin(), row.end());
+  }
+  return rows;
+}
+
+/// The matches of one axis at Hamming threshold t, by brute force: the
+/// pairs norms alone decide, and the rest.
+struct BruteMatches {
+  core::methods::MatchedPairs norm_decided;
+  core::methods::MatchedPairs content_decided;
+};
+
+BruteMatches brute_matches(const std::vector<std::vector<core::Id>>& rows, std::size_t t) {
+  BruteMatches out;
+  for (std::uint32_t a = 0; a < rows.size(); ++a) {
+    for (std::uint32_t b = a + 1; b < rows.size(); ++b) {
+      if (rows[a].empty() || rows[b].empty()) continue;
+      std::vector<core::Id> shared;
+      std::set_intersection(rows[a].begin(), rows[a].end(), rows[b].begin(), rows[b].end(),
+                            std::back_inserter(shared));
+      const std::size_t sum = rows[a].size() + rows[b].size();
+      if (sum <= t) {
+        out.norm_decided.emplace_back(a, b);
+      } else if (sum - 2 * shared.size() <= t) {
+        out.content_decided.emplace_back(a, b);
+      }
+    }
+  }
+  return out;
+}
+
+/// The batches that move the norm-decided star of norm_clique_dataset
+/// (`singles` one-entry roles R0.. on both axes).
+std::vector<RbacDelta> star_batches(std::size_t singles) {
+  std::vector<RbacDelta> batches(5);
+  // A new row of the smallest norm, m = 1.
+  batches[0].assign_user("RX0", "UX0").grant_permission("RX0", "PX0");
+  // R0 grows to norm 2 (out of S at t = 2), R2 to norm 3 (out of S at t = 3).
+  batches[1].assign_user("R0", "UG0").grant_permission("R0", "PG0");
+  for (const char* k : {"1", "2"}) {
+    batches[1].assign_user("R2", std::string("UG2_") + k);
+    batches[1].grant_permission("R2", std::string("PG2_") + k);
+  }
+  // R4 empties on both axes.
+  batches[2].revoke_user("R4", "U4").revoke_permission("R4", "P2");
+  // Every remaining one-entry row grows to norm 2: m rises to 2, and S empties.
+  for (std::size_t r = 1; r < singles; ++r) {
+    if (r == 2 || r == 4) continue;
+    const std::string role = "R" + std::to_string(r);
+    batches[3].assign_user(role, "UM" + std::to_string(r));
+    batches[3].grant_permission(role, "PM" + std::to_string(r));
+  }
+  batches[3].assign_user("RX0", "UMX").grant_permission("RX0", "PMX");
+  // A new one-entry row brings m back to 1.
+  batches[4].assign_user("RX1", "UX1").grant_permission("RX1", "PX1");
+  return batches;
+}
+
+class EngineNormStar : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(EngineNormStar, EnginesEqualAuditAndCachesHoldOnlyContentDecidedPairs) {
+  constexpr std::size_t kSingles = 40;
+  const core::RbacDataset start = rolediet::testing::norm_clique_dataset(kSingles, 5, 4);
+  for (const std::size_t t : {2u, 3u}) {
+    for (const Method method : {Method::kRoleDiet, Method::kExactDbscan, Method::kApproxMinhash}) {
+      AuditOptions options;
+      options.similarity_threshold = t;
+      options.method = method;
+      options.threads = GetParam();
+      AuditEngine engine(start, options);
+      engine.set_publish_versions(true);
+      core::ShardedEngine sharded(start, 3, options);
+      const std::vector<RbacDelta> batches = star_batches(kSingles);
+      for (std::size_t step = 0; step <= batches.size(); ++step) {
+        if (step > 0) {
+          engine.apply(batches[step - 1]);
+          sharded.apply(batches[step - 1]);
+        }
+        const std::string where = std::string(core::to_string(method)) + ", t=" +
+                                  std::to_string(t) + ", step " + std::to_string(step);
+        const AuditReport live = engine.reaudit();
+        const core::RbacDataset snap = engine.snapshot();
+        const AuditReport cold = core::audit(snap, options);
+        ASSERT_EQ(canonical_text(live), canonical_text(cold)) << where;
+        EXPECT_EQ(canonical_text(sharded.reaudit()), canonical_text(cold)) << where;
+        if (step == 0) {
+          // The clique is one similar group on each axis.
+          ASSERT_FALSE(cold.similar_permission_groups.groups.empty()) << where;
+          EXPECT_GE(cold.similar_permission_groups.groups.front().size(), kSingles) << where;
+        }
+
+        const core::EnginePersistentState state = engine.persistent_state();
+        const std::shared_ptr<const core::EngineVersion> published = engine.published();
+        ASSERT_NE(published, nullptr) << where;
+        for (const bool users : {true, false}) {
+          const std::string axis = where + (users ? ", users" : ", perms");
+          const core::EnginePersistentState::AxisState& cache = users ? state.users : state.perms;
+          const core::EnginePersistentState::AxisState& version =
+              users ? published->state.users : published->state.perms;
+          const std::vector<std::vector<core::Id>> rows = axis_rows(snap, users);
+          const BruteMatches brute = brute_matches(rows, t);
+          ASSERT_TRUE(cache.similar_valid) << axis;
+          for (const auto& [a, b] : cache.similar_pairs) {
+            EXPECT_GT(rows[a].size() + rows[b].size(), t) << axis << ": " << a << "-" << b;
+          }
+          EXPECT_LE(cache.similar_pairs.size(), brute.content_decided.size()) << axis;
+          if (method != Method::kApproxMinhash) {
+            EXPECT_EQ(cache.similar_pairs, brute.content_decided) << axis;
+          }
+          EXPECT_EQ(version.similar_pairs, cache.similar_pairs) << axis;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, EngineNormStar, ::testing::Values(1u, 8u),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return "T" + std::to_string(info.param);
+                         });
+
+// A restored cache that still holds norm-decided pairs (snapshot format 1
+// stored them) is sealed on restore, and the next reaudit equals a fresh
+// audit.
+TEST(EngineNormStar, RestoreDropsNormDecidedPairs) {
+  constexpr std::size_t kSingles = 30;
+  const core::RbacDataset start = rolediet::testing::norm_clique_dataset(kSingles, 4, 4);
+  for (const Method method : {Method::kRoleDiet, Method::kExactDbscan, Method::kApproxMinhash}) {
+    AuditOptions options;
+    options.similarity_threshold = 2;
+    options.method = method;
+    AuditEngine engine(start, options);
+    (void)engine.reaudit();
+    const core::EnginePersistentState sealed = engine.persistent_state();
+    core::EnginePersistentState padded = sealed;
+    for (const bool users : {true, false}) {
+      core::methods::MatchedPairs& pairs = users ? padded.users.similar_pairs
+                                                 : padded.perms.similar_pairs;
+      const BruteMatches brute = brute_matches(axis_rows(start, users), 2);
+      ASSERT_FALSE(brute.norm_decided.empty());
+      pairs.insert(pairs.end(), brute.norm_decided.begin(), brute.norm_decided.end());
+      std::sort(pairs.begin(), pairs.end());
+    }
+    const std::string where(core::to_string(method));
+
+    AuditEngine restored(engine.snapshot(), options);
+    restored.restore_persistent_state(padded);
+    EXPECT_EQ(restored.persistent_state().users.similar_pairs, sealed.users.similar_pairs)
+        << where;
+    EXPECT_EQ(restored.persistent_state().perms.similar_pairs, sealed.perms.similar_pairs)
+        << where;
+    for (const RbacDelta& batch : star_batches(kSingles)) {
+      restored.apply(batch);
+      ASSERT_EQ(canonical_text(restored.reaudit()),
+                canonical_text(core::audit(restored.snapshot(), options)))
+          << where;
+    }
+  }
+}
 
 // HNSW is approximate by design: the maintained graph differs from a
 // from-scratch build, so type-5 groups may differ. The engine still promises

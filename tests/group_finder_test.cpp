@@ -6,6 +6,12 @@
 // benchmarks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "core/framework.hpp"
 #include "core/group_finder.hpp"
 #include "test_helpers.hpp"
@@ -176,6 +182,33 @@ TEST_P(GroupFinderContract, JaccardCeilingGroupsAllNonEmptyRows) {
   const RoleGroups groups = finder_->find_similar_jaccard(m, 1'000'000);
   ASSERT_EQ(groups.group_count(), 1u);
   EXPECT_EQ(groups.groups[0], (std::vector<std::size_t>{0, 1, 3}));
+}
+
+// Pairs whose norms sum within t match whatever they share; the exact
+// finders join them as one star (prefix_filter.hpp) and never sink a star-
+// united pair. DBSCAN's region queries leave every such pair to the star,
+// so its sink holds only the content-decided matches; the role-diet sink
+// holds no disjoint pair.
+TEST(NormDecidedStar, ExactFindersSinkNoStarUnitedPair) {
+  // Rows 0-2 hold one column each (0 and 1 share theirs); rows 3 and 4 are
+  // at distance 2 with norms summing to 6.
+  const auto m = csr_from_rows(20, {{0}, {0}, {1}, {3, 4, 5}, {3, 4, 6}});
+  using Pair = std::pair<std::uint32_t, std::uint32_t>;
+  for (const Method method : {Method::kExactDbscan, Method::kRoleDiet}) {
+    const std::unique_ptr<GroupFinder> finder = make_group_finder(method);
+    std::vector<Pair> sink;
+    finder->collect_matched_pairs(&sink);
+    const RoleGroups groups = finder->find_similar(m, 2);
+    finder->collect_matched_pairs(nullptr);
+    std::sort(sink.begin(), sink.end());
+    sink.erase(std::unique(sink.begin(), sink.end()), sink.end());
+    EXPECT_EQ(groups.groups, (std::vector<std::vector<std::size_t>>{{0, 1, 2}, {3, 4}}))
+        << to_string(method);
+    const std::vector<Pair> expected =
+        method == Method::kExactDbscan ? std::vector<Pair>{{3, 4}}
+                                       : std::vector<Pair>{{0, 1}, {3, 4}};
+    EXPECT_EQ(sink, expected) << to_string(method);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, GroupFinderContract,

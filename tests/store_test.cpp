@@ -4,8 +4,11 @@
 // recover round-trips byte-identically).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -237,6 +240,78 @@ TEST(Snapshot, FlippedByteIsRejected) {
   file.close();
 
   EXPECT_THROW((void)SnapshotReader(path).read(), std::exception);
+}
+
+/// Rewrites a snapshot's format-version field and re-digests the file
+/// (FNV-1a over every byte after the magic), so a reader reaches the
+/// version check with an intact file.
+void patch_snapshot_format(const fs::path& file, std::uint32_t format) {
+  std::string bytes;
+  {
+    std::ifstream in(file, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 20u);
+  for (int i = 0; i < 4; ++i) bytes[8 + i] = static_cast<char>(format >> (8 * i));
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  for (std::size_t i = 8; i + 8 < bytes.size(); ++i) {
+    digest = (digest ^ static_cast<unsigned char>(bytes[i])) * 0x100000001B3ULL;
+  }
+  for (int i = 0; i < 8; ++i) bytes[bytes.size() - 8 + i] = static_cast<char>(digest >> (8 * i));
+  std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+// Format 2 keeps format 1's layout, but format 1's pair caches also held the
+// pairs norms alone decide. A format-1 store still recovers: the engine drops
+// those pairs and reports what a fresh audit reports. A revision this build
+// does not know fails with the format-version error.
+TEST(Snapshot, FormatOneCachesWithNormDecidedPairsRecover) {
+  ScopedTempDir dir("snapv1");
+  const core::RbacDataset base = rolediet::testing::norm_clique_dataset(30, 4, 4);
+  core::AuditOptions options;
+  options.similarity_threshold = 2;
+  (void)EngineStore::create(dir.path(), base, options);
+
+  core::AuditEngine engine(base, options);
+  (void)engine.reaudit();
+  EngineSnapshot snapshot = capture_snapshot(engine, 0);
+  const core::EnginePersistentState sealed = snapshot.engine;
+  for (core::EnginePersistentState::AxisState* axis :
+       {&snapshot.engine.users, &snapshot.engine.perms}) {
+    const bool users = axis == &snapshot.engine.users;
+    const auto norm = [&](core::Id r) {
+      return users ? base.users_of_role(r).size() : base.permissions_of_role(r).size();
+    };
+    const std::size_t before = axis->similar_pairs.size();
+    for (core::Id a = 0; a < base.num_roles(); ++a) {
+      for (core::Id b = a + 1; b < base.num_roles(); ++b) {
+        if (norm(a) > 0 && norm(b) > 0 && norm(a) + norm(b) <= 2) {
+          axis->similar_pairs.emplace_back(a, b);
+        }
+      }
+    }
+    ASSERT_GT(axis->similar_pairs.size(), before);
+    std::sort(axis->similar_pairs.begin(), axis->similar_pairs.end());
+  }
+  const fs::path file = SnapshotWriter(dir.path()).write(snapshot);  // replaces snap-0
+  patch_snapshot_format(file, 1);
+  EXPECT_EQ(SnapshotReader(file).read().engine.perms.similar_pairs,
+            snapshot.engine.perms.similar_pairs);
+
+  EngineStore reopened = EngineStore::open(dir.path(), options);
+  EXPECT_FALSE(reopened.recovery().caches_dropped);
+  EXPECT_EQ(reopened.engine().persistent_state().users.similar_pairs, sealed.users.similar_pairs);
+  EXPECT_EQ(reopened.engine().persistent_state().perms.similar_pairs, sealed.perms.similar_pairs);
+  EXPECT_EQ(findings_text(reopened.engine().reaudit()),
+            findings_text(core::audit(base, options)));
+
+  patch_snapshot_format(file, 3);
+  try {
+    (void)SnapshotReader(file).read();
+    ADD_FAILURE() << "format 3 must not read";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("has format version 3"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Snapshot, ListingIgnoresTmpLeftovers) {

@@ -97,6 +97,42 @@ inline core::RbacDataset figure1_dataset() {
   return d;
 }
 
+/// A norm clique beside content-decided matches, on both axes. Roles
+/// R0..R<singles-1> hold one user each (all distinct) and one permission
+/// each, shared by pairs (R0 and R1 hold P0, R2 and R3 hold P1, ...): at a
+/// Hamming threshold t >= 2 every two of them match on norms alone, and
+/// some of those pairs also share a column. Then `families` families of
+/// four near-copies: a family's roles hold its base of `width` users and
+/// `width` permissions plus one extra user and permission of their own, so
+/// two copies are at distance 2 with norms summing to 2 * (width + 1), a
+/// match only their content decides for t < 2 * (width + 1).
+inline core::RbacDataset norm_clique_dataset(std::size_t singles, std::size_t families,
+                                             std::size_t width) {
+  constexpr std::size_t kCopies = 4;
+  core::RbacDataset d;
+  const std::size_t family_cols = families * (width + kCopies);
+  const core::Id users = d.add_users(singles + family_cols);
+  const core::Id perms = d.add_permissions((singles + 1) / 2 + family_cols);
+  const core::Id roles = d.add_roles(singles + families * kCopies);
+  for (std::size_t r = 0; r < singles; ++r) {
+    d.assign_user(roles + static_cast<core::Id>(r), users + static_cast<core::Id>(r));
+    d.grant_permission(roles + static_cast<core::Id>(r), perms + static_cast<core::Id>(r / 2));
+  }
+  for (std::size_t f = 0; f < families; ++f) {
+    const std::size_t base = f * (width + kCopies);
+    for (std::size_t k = 0; k < kCopies; ++k) {
+      const auto role = roles + static_cast<core::Id>(singles + f * kCopies + k);
+      for (std::size_t c = 0; c < width; ++c) {
+        d.assign_user(role, users + static_cast<core::Id>(singles + base + c));
+        d.grant_permission(role, perms + static_cast<core::Id>((singles + 1) / 2 + base + c));
+      }
+      d.assign_user(role, users + static_cast<core::Id>(singles + base + width + k));
+      d.grant_permission(role, perms + static_cast<core::Id>((singles + 1) / 2 + base + width + k));
+    }
+  }
+  return d;
+}
+
 /// Builds a CSR matrix from explicit rows of column indices.
 inline linalg::CsrMatrix csr_from_rows(std::size_t cols,
                                        const std::vector<std::vector<std::uint32_t>>& rows) {
